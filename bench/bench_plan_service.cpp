@@ -5,16 +5,17 @@
 // naive server pays the full pipeline per request; the plan service pays
 // it once per *structure*:
 //
-//  * Request_ColdCompileSpawn — compile(prog, g) + spawn-per-run run():
-//                               the pre-service cost of every request;
+//  * Request_ColdCompileDefaultPool
+//                             — compile(prog, g) + run() on the
+//                               process-default pool: the cost of a
+//                               request without a plan cache;
 //  * Request_CachedPooled     — PlanCache::get_or_compile + pooled run():
 //                               the steady-state service cost (first
 //                               iteration compiles, the rest hit).
 //                               ISSUE 4 acceptance: >= 2x over cold at
 //                               small n;
-//  * Run_Spawn / Run_Pooled   — the pool's own contribution, isolated
-//                               (plan held constant, only the thread
-//                               acquisition differs);
+//  * Run_Pooled               — a reused plan's run on a warm pool
+//                               (plan construction excluded);
 //  * Run_PooledPinned         — affinity pinning on top of the pool
 //                               (RunOptions::pin_threads; on one-core CI
 //                               containers this measures overhead, not
@@ -34,16 +35,16 @@
 //                               matrix over fig7 (both sides compiled AT
 //                               the benchmarked n): ColdCompile is the
 //                               one-time background cost of building the
-//                               dlopen'd kernel, WarmNative the
-//                               steady-state native run (compile_seconds
-//                               counter = the latency a background
-//                               compile hides), InterpretedPooled the
-//                               exact --jit=off baseline (cached plan +
-//                               pooled run).
+//                               dlopen'd kernel, WarmNativePooled the
+//                               steady-state native run on a warm pool
+//                               (compile_seconds counter = the latency a
+//                               background compile hides),
+//                               InterpretedPooled the exact --jit=off
+//                               baseline (cached plan + pooled run).
 //
 // tools/bench_runner.py records BENCH_bench_plan_service.json; the
-// cold-vs-cached and pool-vs-spawn ratios live in EXPERIMENTS.md
-// ("Plan service A/B"), the native-vs-interpreted ratio in "JIT A/B".
+// cold-vs-cached ratio lives in EXPERIMENTS.md ("Plan service A/B"), the
+// native-vs-interpreted ratio in "JIT A/B".
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -67,8 +68,8 @@ namespace {
 
 using namespace mimd;
 
-/// Small-n fig7: the regime where per-request compile + spawn overhead
-/// dominates actual execution — exactly what a plan service amortizes.
+/// Small-n fig7: the regime where per-request compile overhead dominates
+/// actual execution — exactly what a plan service amortizes.
 struct Fig7Request {
   Ddg g = workloads::fig7_loop();
   std::int64_t n = 24;
@@ -86,14 +87,14 @@ Fig7Request& fig7_request() {
   return r;
 }
 
-void BM_Request_ColdCompileSpawn(benchmark::State& state) {
+void BM_Request_ColdCompileDefaultPool(benchmark::State& state) {
   Fig7Request& f = fig7_request();
   for (auto _ : state) {
     benchmark::DoNotOptimize(compile(f.prog, f.g).run(f.n));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Request_ColdCompileSpawn)
+BENCHMARK(BM_Request_ColdCompileDefaultPool)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
@@ -118,7 +119,7 @@ BENCHMARK(BM_Request_CachedPooled)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// ---- The pool's contribution, isolated (plan construction excluded). ----
+// ---- Pooled runs of a reused plan (plan construction excluded). ----
 
 ExecutorPlan& fig7_plan() {
   static ExecutorPlan plan = [] {
@@ -127,16 +128,6 @@ ExecutorPlan& fig7_plan() {
   }();
   return plan;
 }
-
-void BM_Run_Spawn(benchmark::State& state) {
-  const ExecutorPlan& plan = fig7_plan();
-  Fig7Request& f = fig7_request();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.run(f.n));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Run_Spawn)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_Run_Pooled(benchmark::State& state) {
   const ExecutorPlan& plan = fig7_plan();
@@ -186,13 +177,12 @@ BENCHMARK(BM_Jit_VsInterpreted_ColdCompile)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Both sides of the A/B are compiled AT the benchmarked trip count —
-// passing a bigger n to run() only sizes result buffers, the executed
-// iteration count is baked in at compile() time.  At the request default
-// (n=24) per-run fixed costs dominate — the kernel pthread_creates its
-// PEs while the interpreter borrows pooled threads — so the two are
-// comparable; at realistic trip counts the native steady-state loop
-// pulls away from per-node interpretation.
+// Both sides of the A/B are compiled AT the benchmarked trip count — the
+// executed iteration count is baked in at compile() time, and run()
+// rejects any other n.  At the request default (n=24) per-run fixed
+// costs (the gang handoff) dominate, so the two are comparable; at
+// realistic trip counts the native steady-state loop pulls away from
+// per-node interpretation.
 struct JitAbPair {
   ExecutorPlan plan;
   std::shared_ptr<const JitKernel> kernel;  // null when jit unavailable
@@ -221,33 +211,11 @@ JitAbPair& jit_ab_pair(int procs, std::int64_t n) {
   return it->second;
 }
 
-void BM_Jit_VsInterpreted_WarmNative(benchmark::State& state) {
-  if (!jit_available()) {
-    state.SkipWithError(jit_unavailable_reason().c_str());
-    return;
-  }
-  const int procs = static_cast<int>(state.range(0));
-  const std::int64_t n = state.range(1);
-  JitAbPair& ab = jit_ab_pair(procs, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.kernel->run(n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  // The one-time latency the background thread hides from request paths.
-  state.counters["compile_seconds"] = benchmark::Counter(ab.compile_seconds);
-}
-BENCHMARK(BM_Jit_VsInterpreted_WarmNative)
-    ->ArgNames({"procs", "n"})
-    ->ArgsProduct({{1, 2}, {24, 4096}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
-  // The tiny-n fix under test: same warm kernel, but dispatched through
-  // the ABI v2 entries onto the shared WorkerPool — zero pthread_create
-  // per request, exactly how the daemon serves eligible warm traffic.
-  // Compare against WarmNative (kernel spawns its own PEs) and
-  // InterpretedPooled (the --jit=off steady state) at the same args.
+  // A warm kernel dispatched onto a shared WorkerPool — zero
+  // pthread_create per request, exactly how the daemon serves eligible
+  // warm traffic.  Compare against InterpretedPooled (the --jit=off
+  // steady state) at the same args.
   if (!jit_available()) {
     state.SkipWithError(jit_unavailable_reason().c_str());
     return;
@@ -257,9 +225,11 @@ void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
   JitAbPair& ab = jit_ab_pair(procs, n);
   static WorkerPool pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.kernel->run_pooled(n, &pool));
+    benchmark::DoNotOptimize(ab.kernel->run(n, &pool));
   }
   state.SetItemsProcessed(state.iterations() * n);
+  // The one-time latency the background thread hides from request paths.
+  state.counters["compile_seconds"] = benchmark::Counter(ab.compile_seconds);
 }
 BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)
     ->ArgNames({"procs", "n"})

@@ -94,11 +94,11 @@ struct CompiledThread {
 struct CompiledProgram {
   int processors = 0;               ///< of the source PartitionedProgram
   std::vector<ChannelDesc> channels;
-  /// Only processors with a non-empty program; order fixes thread spawn
+  /// Only processors with a non-empty program; order fixes the thread
   /// (pinning) order at compile time.
   std::vector<CompiledThread> threads;
-  /// 1 + the largest compute iteration — the minimum `n` a result buffer
-  /// must provide.
+  /// 1 + the largest compute iteration — the one `n` a run of this
+  /// program accepts.
   std::int64_t iterations = 0;
 
   [[nodiscard]] std::size_t count(CompiledOp::Kind k) const;

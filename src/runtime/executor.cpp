@@ -1,13 +1,8 @@
 #include "runtime/executor.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
-#include <thread>
 
-#include "runtime/channel.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -15,13 +10,11 @@ namespace mimd {
 
 namespace {
 
-/// The hot path, templated on the transport so each instantiation inlines
-/// its channel operations (no virtual dispatch per message).  Every name
-/// was resolved at compile() time: operands read flat slots, initial
-/// values are baked-in constants, and channels are dense indices.
-template <class Channel>
+/// The hot path.  Every name was resolved at compile() time: operands
+/// read flat slots, initial values are baked-in constants, and channels
+/// are dense indices.
 void execute(const CompiledProgram& cp, const Ddg& g,
-             const std::vector<std::unique_ptr<Channel>>& chans,
+             const std::vector<std::unique_ptr<SpscChannel>>& chans,
              const RunOptions& opts, ExecutionResult& res) {
   const KernelOptions& kernel = opts.kernel;
   auto worker = [&](const CompiledThread& t) {
@@ -67,12 +60,13 @@ void execute(const CompiledProgram& cp, const Ddg& g,
     }
   };
 
-  // One task per compiled thread, in the spawn (= pinning) order frozen
-  // at compile() time.  Spawn-vs-pool and the rotating pinned-slice
-  // policy live in run_indexed_gang (runtime/worker_pool.hpp), shared
-  // with the JIT's pooled kernel dispatch so both executors place
-  // compiled thread i identically.
-  run_indexed_gang(opts.pool, cp.threads.size(), opts.pin_threads,
+  // One task per compiled thread, in the (pinning) order frozen at
+  // compile() time.  The rotating pinned-slice policy lives in
+  // run_indexed_gang (runtime/worker_pool.hpp), shared with the JIT's
+  // kernel dispatch so both executors place compiled thread i
+  // identically.
+  run_indexed_gang(opts.pool != nullptr ? *opts.pool : default_worker_pool(),
+                   cp.threads.size(), opts.pin_threads,
                    [&](std::size_t i) { worker(cp.threads[i]); });
 }
 
@@ -88,39 +82,25 @@ ExecutorPlan compile(const PartitionedProgram& prog, const Ddg& g,
 
 ExecutionResult ExecutorPlan::run(std::int64_t n,
                                   const RunOptions& opts) const {
-  MIMD_EXPECTS(n >= 0);
-  MIMD_EXPECTS(n >= compiled_.iterations);
+  MIMD_EXPECTS(n == compiled_.iterations);
   ExecutionResult res;
   res.values.resize(graph_.num_nodes());
   for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);
 
-  // Channel construction stays outside the timed region (as the original
-  // executor's map setup did); only the threaded execution is measured.
-  auto timed_execute = [&](const auto& chans) {
-    const auto t0 = std::chrono::steady_clock::now();
-    execute(compiled_, graph_, chans, opts, res);
-    const auto t1 = std::chrono::steady_clock::now();
-    res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  if (opts.transport == Transport::Spsc) {
-    std::vector<std::unique_ptr<SpscChannel>> chans;
-    chans.reserve(compiled_.channels.size());
-    for (const ChannelDesc& c : compiled_.channels) {
-      // ring_capacity (runtime/transport.hpp) is the shared policy: the
-      // generated-C backend sizes its emitted rings with the same call.
-      chans.push_back(std::make_unique<SpscChannel>(
-          ring_capacity(c.messages, opts.channel_capacity)));
-    }
-    timed_execute(chans);
-  } else {
-    std::vector<std::unique_ptr<ValueChannel>> chans;
-    chans.reserve(compiled_.channels.size());
-    for (std::size_t i = 0; i < compiled_.channels.size(); ++i) {
-      chans.push_back(std::make_unique<ValueChannel>());
-    }
-    timed_execute(chans);
+  // Channel construction stays outside the timed region; only the
+  // threaded execution is measured.
+  std::vector<std::unique_ptr<SpscChannel>> chans;
+  chans.reserve(compiled_.channels.size());
+  for (const ChannelDesc& c : compiled_.channels) {
+    // ring_capacity (runtime/transport.hpp) is the shared policy: the
+    // generated-C backend sizes its emitted rings with the same call.
+    chans.push_back(std::make_unique<SpscChannel>(
+        ring_capacity(c.messages, opts.channel_capacity)));
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  execute(compiled_, graph_, chans, opts, res);
+  const auto t1 = std::chrono::steady_clock::now();
+  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
 }
 

@@ -12,15 +12,16 @@
 // compile() lowers the interpreted program to the slot-resolved
 // CompiledProgram form (partition/compiled_program.hpp): dense channel
 // ids, per-thread flat slot arrays, and pre-resolved operand descriptors —
-// no associative lookups remain on the run() path.  run() picks the
-// transport: lock-free SPSC rings (default) or the mutex+condvar baseline.
+// no associative lookups remain on the run() path.  Values travel over
+// lock-free SPSC rings (runtime/spsc_ring.hpp), and the compiled threads
+// run as one gang on a persistent WorkerPool (runtime/worker_pool.hpp).
 //
 // Memory discipline (race freedom by construction):
 //  * results[v][i] is written by exactly the thread that computes (v, i);
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
 // The channels provide the necessary happens-before edges (acquire/release
-// on the ring cursors, or the mutex); validation compares against
+// on the ring cursors); validation compares against
 // run_sequential bit-for-bit.
 #pragma once
 
@@ -31,7 +32,6 @@
 #include "partition/compiled_program.hpp"
 #include "partition/partitioned_loop.hpp"
 #include "runtime/kernels.hpp"
-#include "runtime/transport.hpp"
 
 namespace mimd {
 
@@ -45,24 +45,21 @@ class WorkerPool;
 
 struct RunOptions {
   KernelOptions kernel;
-  Transport transport = Transport::Spsc;
-  /// Borrow threads from this persistent pool instead of spawning one
-  /// std::thread per compiled thread for the run (runtime/worker_pool.hpp
-  /// — the plan-service hot path; bench_plan_service measures the gap).
-  /// Null (default): spawn-per-run, the historical behavior.  Non-owning;
-  /// the pool must outlive the run.  Results are bit-identical either way.
+  /// The persistent pool whose workers run the compiled threads
+  /// (runtime/worker_pool.hpp).  Null (default): the process-default pool,
+  /// default_worker_pool().  Non-owning; the pool must outlive the run.
+  /// Results are bit-identical on any pool.
   WorkerPool* pool = nullptr;
   /// Pin each compiled thread i to CPU ((slice + i) mod allowed CPUs) for
   /// the duration of the run — the compiled thread order was frozen at
   /// compile() time for exactly this, and the per-run rotating slice
   /// gives concurrent pinned runs disjoint CPU ranges instead of stacking
-  /// them all on the first cores.  Works on both the pool and the spawn
-  /// path; masks restored afterwards; silently a no-op where unsupported
-  /// (affinity_supported()).  A placement hint only: results are
-  /// bit-identical pinned or not.
+  /// them all on the first cores.  Masks are restored after the run;
+  /// silently a no-op where unsupported (affinity_supported()).  A
+  /// placement hint only: results are bit-identical pinned or not.
   bool pin_threads = false;
-  /// Spsc only.  0 (default): size each ring to its exact message count,
-  /// so sends never block.  > 0: cap ring capacity at the next power of
+  /// 0 (default): size each ring to its exact message count, so sends
+  /// never block.  > 0: cap ring capacity at the next power of
   /// two >= this value — bounded memory with spin-then-yield backpressure.
   /// CAVEAT: a cap below a channel's in-flight high-water mark can
   /// deadlock even a validator-approved program (a full channel's sender
@@ -86,13 +83,13 @@ class ExecutorPlan {
  public:
   ExecutorPlan() = default;
 
-  /// Execute for `n` iterations (must cover every compiled iteration:
-  /// n >= program().iterations; ContractViolation otherwise, before any
-  /// thread starts).  Mid-run channel violations (FIFO tag mismatch —
-  /// which a compiled program cannot trigger — or a capped ring stalled
-  /// 30 s) are fatal: they fire on a worker thread, where the escaping
-  /// exception is std::terminate with the violation message, because a
-  /// failed worker cannot unwind the peers blocked on its channels.
+  /// Execute for `n` iterations, which must equal program().iterations
+  /// (ContractViolation otherwise, before any thread starts): a plan computes
+  /// exactly the iterations it was compiled for.  Mid-run channel violations
+  /// (FIFO tag mismatch — which a compiled program cannot trigger — or a
+  /// capped ring stalled 30 s) are fatal: they fire on a worker thread, where
+  /// the escaping exception is std::terminate with the violation message,
+  /// because a failed worker cannot unwind the peers blocked on its channels.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -109,7 +106,7 @@ class ExecutorPlan {
 
 /// Validate (find_program_violation) and compile `prog` into a reusable
 /// plan.  Channel table, slot resolution (liveness-based reuse by default
-/// — CompileOptions::slots), and thread spawn order are all fixed here,
+/// — CompileOptions::slots), and thread order are all fixed here,
 /// amortized across every subsequent run().
 [[nodiscard]] ExecutorPlan compile(const PartitionedProgram& prog,
                                    const Ddg& g,

@@ -74,15 +74,14 @@ class QuotaViolation : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-RunOptions to_run_options(const wire::RemoteRunOptions& o, WorkerPool* pool) {
+RunOptions to_run_options(const wire::RemoteRunOptions& o) {
   RunOptions r;
-  r.transport = o.transport;
   r.pin_threads = o.pin_threads;
   r.kernel.work_per_cycle = o.work_per_cycle;
-  r.pool = pool;
-  // channel_capacity deliberately stays 0 (exact ring sizing): a remote
-  // cap could stall a daemon worker for 30 s and then abort the process
-  // (see RunOptions::channel_capacity).
+  // The pool is the server's, set by run_plan.  channel_capacity
+  // deliberately stays 0 (exact ring sizing): a remote cap could stall a
+  // daemon worker for 30 s and then abort the process (see
+  // RunOptions::channel_capacity).
   return r;
 }
 
@@ -351,10 +350,21 @@ PlanServerStats PlanServer::stats() const {
   s.jit_native_runs = jit_native_runs_.load(std::memory_order_relaxed);
   s.jit_interpreted_runs =
       jit_interpreted_runs_.load(std::memory_order_relaxed);
-  s.jit_pooled_runs = jit_pooled_runs_.load(std::memory_order_relaxed);
   s.jit_ineligible_runs =
       jit_ineligible_runs_.load(std::memory_order_relaxed);
   return s;
+}
+
+void PlanServer::count_runs(std::uint64_t items, const JitRunCounters& jit) {
+  runs_executed_.fetch_add(items, std::memory_order_relaxed);
+  jit_native_runs_.fetch_add(jit.native, std::memory_order_relaxed);
+  // Gated on jit_available so --jit=off keeps every jit stat at zero.
+  if (cache_.jit_available()) {
+    jit_interpreted_runs_.fetch_add(items - jit.native,
+                                    std::memory_order_relaxed);
+    jit_ineligible_runs_.fetch_add(jit.ineligible,
+                                   std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -858,16 +868,33 @@ void PlanServer::process_task(Task& t) {
   // kernel slot both), so eviction can never invalidate a registered
   // program, and a kernel published after registration is visible
   // through the entry's slot on the next run.  Copied out under the lock
-  // so the run itself never holds it.
-  const auto lookup = [&c](std::uint64_t id) -> PlanCache::CachedPlan {
-    const std::lock_guard<std::mutex> lock(c.mu);
-    const auto it = c.programs.find(id);
-    if (it == c.programs.end()) {
-      throw wire::WireError("unknown program id " + std::to_string(id) +
-                            " (submit-program first; ids are "
-                            "per-connection)");
+  // so the run itself never holds it.  Run and RunBatch items resolve to
+  // the same PlanJob and reach the same run_plan dispatch.
+  const auto resolve = [&](const wire::RunRequest& req) -> PlanJob {
+    PlanCache::CachedPlan entry;
+    {
+      const std::lock_guard<std::mutex> lock(c.mu);
+      const auto it = c.programs.find(req.program_id);
+      if (it == c.programs.end()) {
+        throw wire::WireError("unknown program id " +
+                              std::to_string(req.program_id) +
+                              " (submit-program first; ids are "
+                              "per-connection)");
+      }
+      entry = it->second;
     }
-    return it->second;
+    PlanJob job;
+    job.plan = entry.plan;
+    job.kernel = entry.kernel();  // per-request snapshot
+    job.iterations = req.iterations;
+    job.ropts = to_run_options(req.opts);
+    return job;
+  };
+  const auto reply_bytes_of = [](const PlanJob& job) {
+    return estimated_result_bytes(*job.plan,
+                                  job.iterations != 0
+                                      ? job.iterations
+                                      : job.plan->program().iterations);
   };
 
   wire::FrameType reply_type = wire::FrameType::Error;
@@ -935,43 +962,13 @@ void PlanServer::process_task(Task& t) {
           break;
         }
         case wire::FrameType::Run: {
-          const wire::RunRequest req = wire::decode_run(t.frame.payload);
-          const PlanCache::CachedPlan entry = lookup(req.program_id);
-          const auto& plan = entry.plan;
-          const std::int64_t n = req.iterations > 0
-                                     ? req.iterations
-                                     : plan->program().iterations;
-          check_reply_fits_frame(estimated_result_bytes(*plan, n));
-          const RunOptions ropts = to_run_options(req.opts, &pool_);
-          ExecutionResult result;
-          // Native once the background compile has published (bit-
-          // identical with the interpreted run); interpreted meanwhile.
-          // Preference order mirrors run_plans: pooled entry (ABI v2 —
-          // the kernel borrows the server's gang-scheduled workers, no
-          // pthread_create per request) > legacy single-entry native
-          // (unpinned requests only) > interpreted.  The split counters
-          // gate on jit_available so --jit=off keeps every jit stat at
-          // zero — today's behavior exactly.
-          const auto kernel = entry.kernel();
-          if (kernel && jit_run_eligible(ropts, *kernel) &&
-              n >= plan->program().iterations) {
-            jit_native_runs_.fetch_add(1, std::memory_order_relaxed);
-            if (kernel->supports_pool()) {
-              jit_pooled_runs_.fetch_add(1, std::memory_order_relaxed);
-              result = kernel->run_pooled(n, ropts.pool, ropts.pin_threads);
-            } else {
-              result = kernel->run(n);
-            }
-          } else {
-            result = plan->run(n, ropts);
-            if (cache_.jit_available()) {
-              jit_interpreted_runs_.fetch_add(1, std::memory_order_relaxed);
-              if (kernel) {
-                jit_ineligible_runs_.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          }
-          runs_executed_.fetch_add(1, std::memory_order_relaxed);
+          const PlanJob job = resolve(wire::decode_run(t.frame.payload));
+          check_reply_fits_frame(reply_bytes_of(job));
+          // Inline on this handler thread: run_plans may create a
+          // thread per call, which a warm Run must not pay.
+          JitRunCounters jit;
+          const ExecutionResult result = run_plan(job, pool_, jit);
+          count_runs(1, jit);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);
           break;
@@ -983,38 +980,18 @@ void PlanServer::process_task(Task& t) {
           jobs.reserve(req.items.size());
           std::uint64_t reply_bytes = 0;
           for (const wire::RunRequest& item : req.items) {
-            const PlanCache::CachedPlan entry = lookup(item.program_id);
-            PlanJob job;
-            job.plan = entry.plan;
-            job.kernel = entry.kernel();  // per-request snapshot
-            job.iterations = item.iterations;
-            add_saturating(
-                reply_bytes,
-                estimated_result_bytes(
-                    *job.plan, job.iterations > 0
-                                   ? job.iterations
-                                   : job.plan->program().iterations));
-            job.ropts = to_run_options(item.opts, &pool_);
-            jobs.push_back(std::move(job));
+            jobs.push_back(resolve(item));
+            add_saturating(reply_bytes, reply_bytes_of(jobs.back()));
           }
           check_reply_fits_frame(reply_bytes);
           const auto t0 = std::chrono::steady_clock::now();
-          JitRunCounters batch;
+          JitRunCounters jit;
           wire::RunBatchReply rep;
-          rep.results = run_plans(jobs, pool_, req.concurrency, &batch);
+          rep.results = run_plans(jobs, pool_, req.concurrency, &jit);
           rep.wall_seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
-          runs_executed_.fetch_add(req.items.size(),
-                                   std::memory_order_relaxed);
-          jit_native_runs_.fetch_add(batch.native, std::memory_order_relaxed);
-          jit_pooled_runs_.fetch_add(batch.pooled, std::memory_order_relaxed);
-          if (cache_.jit_available()) {
-            jit_interpreted_runs_.fetch_add(req.items.size() - batch.native,
-                                            std::memory_order_relaxed);
-            jit_ineligible_runs_.fetch_add(batch.ineligible,
-                                           std::memory_order_relaxed);
-          }
+          count_runs(req.items.size(), jit);
           reply_type = wire::FrameType::RunBatchReply;
           reply = wire::encode_run_batch_reply(rep);
           break;
@@ -1056,7 +1033,8 @@ void PlanServer::process_task(Task& t) {
           rep.jit_in_flight = s.cache.jit_in_flight;
           rep.jit_native_runs = s.jit_native_runs;
           rep.jit_interpreted_runs = s.jit_interpreted_runs;
-          rep.jit_pooled_runs = s.jit_pooled_runs;
+          // Every native run executes on the shared pool.
+          rep.jit_pooled_runs = s.jit_native_runs;
           rep.jit_ineligible_runs = s.jit_ineligible_runs;
           reply_type = wire::FrameType::StatsReply;
           reply = wire::encode_stats_reply(rep);

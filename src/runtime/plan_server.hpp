@@ -22,12 +22,13 @@
 // (wire::FrameBuffer), the per-connection token bucket, and the Hello
 // version negotiation — a version switch must land before the next
 // buffered byte is parsed, so it cannot be deferred to a handler.  Decoded
-// requests are dispatched onto `handler_threads` pool threads; runs still
-// execute on the shared WorkerPool.  Handlers never touch sockets: a
-// finished reply is appended to the connection's write queue and the loop
-// is woken through an eventfd to flush it (writev-coalesced — pipelined
-// connections get many frames per syscall).  So the thread count is
-// O(handler pool), not O(connections).
+// requests are dispatched onto `handler_threads` pool threads; a Run and
+// every RunBatch item reach the plan service's one dispatch, run_plan
+// (runtime/plan_service.hpp), on the shared WorkerPool.  Handlers never
+// touch sockets: a finished reply is appended to the connection's write
+// queue and the loop is woken through an eventfd to flush it
+// (writev-coalesced — pipelined connections get many frames per syscall).
+// So the thread count is O(handler pool), not O(connections).
 //
 // Per-connection state — registry, quota bucket, strikes, buffers — lives
 // in one Connection object guarded by its own mutex (v2 connections may
@@ -69,6 +70,8 @@
 #include "runtime/worker_pool.hpp"
 
 namespace mimd {
+
+struct JitRunCounters;  // runtime/plan_service.hpp
 
 struct PlanServerOptions {
   /// Filesystem path to bind (sun_path limits apply, ~107 bytes).  Empty
@@ -156,14 +159,11 @@ struct PlanServerStats {
   /// compile-side counters).
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared WorkerPool via
-  /// the ABI v2 caller-provides-the-threads kernel entry.
-  std::uint64_t jit_pooled_runs = 0;
   /// Runs that had a published kernel but went interpreted anyway — the
-  /// request's shape (transport/work/channel-capacity, or pinning against
-  /// an old single-entry kernel) or iteration count fell outside what the
+  /// request's shape (a nonzero work_per_cycle) fell outside what the
   /// kernel implements.  The counter that answers "why isn't my warm
-  /// traffic native?".
+  /// traffic native?".  (Every native run executes on the shared pool, so
+  /// the Stats frame's jit_pooled_runs equals jit_native_runs.)
   std::uint64_t jit_ineligible_runs = 0;
 };
 
@@ -252,6 +252,9 @@ class PlanServer {
   void process_task(Task& task);
   void enqueue_task(Task task);           // any thread
   void kick(std::shared_ptr<Connection> conn);  // any thread
+  /// Tally `items` executed runs and how the native tier served them —
+  /// the one accumulation Run and RunBatch share.
+  void count_runs(std::uint64_t items, const JitRunCounters& jit);
 
   PlanServerOptions opts_;
   PlanCache cache_;
@@ -295,7 +298,6 @@ class PlanServer {
   std::atomic<std::uint64_t> accept_backoffs_{0};
   std::atomic<std::uint64_t> jit_native_runs_{0};
   std::atomic<std::uint64_t> jit_interpreted_runs_{0};
-  std::atomic<std::uint64_t> jit_pooled_runs_{0};
   std::atomic<std::uint64_t> jit_ineligible_runs_{0};
 };
 

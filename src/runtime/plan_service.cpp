@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "runtime/jit_compiler.hpp"
+#include "support/assert.hpp"
 
 namespace mimd {
 
@@ -17,6 +18,7 @@ namespace {
 /// the first exception the cursor is poisoned (peers stop picking up new
 /// work, in-flight work finishes) and that exception is rethrown after
 /// every driver has drained.
+/// With concurrency 1 the body runs on the calling thread instead.
 template <typename Body>
 void drive_indexed(std::size_t count, std::size_t concurrency,
                    const Body& body) {
@@ -26,6 +28,10 @@ void drive_indexed(std::size_t count, std::size_t concurrency,
     if (concurrency == 0) concurrency = 1;
   }
   if (concurrency > count) concurrency = count;
+  if (concurrency == 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
 
   std::atomic<std::size_t> cursor{0};
   std::mutex error_mu;
@@ -55,72 +61,50 @@ void drive_indexed(std::size_t count, std::size_t concurrency,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Concurrent-driver tallies of how the native tier served a batch.
-struct AtomicJitCounters {
-  std::atomic<std::uint64_t> native{0};
-  std::atomic<std::uint64_t> pooled{0};
-  std::atomic<std::uint64_t> ineligible{0};
-
-  [[nodiscard]] JitRunCounters snapshot() const {
-    JitRunCounters c;
-    c.native = native.load(std::memory_order_relaxed);
-    c.pooled = pooled.load(std::memory_order_relaxed);
-    c.ineligible = ineligible.load(std::memory_order_relaxed);
-    return c;
-  }
-};
-
-/// The one native-vs-interpreted dispatch both batch drivers (and the
-/// server's single-run path, via the same rules) use.  Preference order:
-/// pooled native entry (ABI v2 — warm pool threads, pinning honored) >
-/// legacy single-entry native (unpinned requests only) > interpreted.
-/// Bit-identical any way — the kernel is the same CompiledProgram
-/// lowered through the C backend.
-ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
-                                  const std::shared_ptr<const JitKernel>& kernel,
-                                  std::int64_t n, const RunOptions& opts,
-                                  AtomicJitCounters& counters) {
-  if (kernel && jit_run_eligible(opts, *kernel) &&
-      n >= plan.program().iterations) {
-    counters.native.fetch_add(1, std::memory_order_relaxed);
-    if (kernel->supports_pool()) {
-      counters.pooled.fetch_add(1, std::memory_order_relaxed);
-      return kernel->run_pooled(n, opts.pool, opts.pin_threads);
-    }
-    return kernel->run(n);
-  }
-  if (kernel) {
-    counters.ineligible.fetch_add(1, std::memory_order_relaxed);
-  }
-  return plan.run(n, opts);
+/// Sum of per-job tallies.  Each job's slot is written only by the thread
+/// that ran the job, so no counter is ever shared between threads.
+JitRunCounters sum(const std::vector<JitRunCounters>& per_job) {
+  JitRunCounters total;
+  for (const JitRunCounters& c : per_job) total += c;
+  return total;
 }
 
 }  // namespace
+
+ExecutionResult run_plan(const PlanJob& job, WorkerPool& pool,
+                         JitRunCounters& counters) {
+  const ExecutorPlan& plan = *job.plan;
+  const std::int64_t compiled = plan.program().iterations;
+  const std::int64_t n = job.iterations == 0 ? compiled : job.iterations;
+  MIMD_EXPECTS(n == compiled);
+  RunOptions opts = job.ropts;
+  opts.pool = &pool;
+  if (job.kernel && jit_run_eligible(opts)) {
+    ++counters.native;
+    return job.kernel->run(n, &pool, opts.pin_threads);
+  }
+  if (job.kernel) ++counters.ineligible;
+  return plan.run(n, opts);
+}
 
 BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
                       WorkerPool& pool, std::size_t concurrency) {
   BatchReport report;
   report.results.resize(jobs.size());
-  if (jobs.empty()) {
-    report.cache_stats = cache.stats();
-    return report;
-  }
-
+  std::vector<JitRunCounters> counters(jobs.size());
   const auto t0 = std::chrono::steady_clock::now();
   std::exception_ptr error;
-  AtomicJitCounters counters;
   try {
     drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
       const BatchJob& job = jobs[i];
       const auto cached =
           cache.get_or_compile_jit(job.program, job.graph, job.copts);
-      const auto& plan = cached.plan;
-      RunOptions opts = job.ropts;
-      opts.pool = &pool;
-      const std::int64_t n =
-          job.iterations > 0 ? job.iterations : plan->program().iterations;
-      report.results[i] =
-          dispatch_resolved(*plan, cached.kernel(), n, opts, counters);
+      PlanJob resolved;
+      resolved.plan = cached.plan;
+      resolved.iterations = job.iterations;
+      resolved.ropts = job.ropts;
+      resolved.kernel = cached.kernel();
+      report.results[i] = run_plan(resolved, pool, counters[i]);
     });
   } catch (...) {
     error = std::current_exception();
@@ -129,10 +113,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 
   report.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   report.cache_stats = cache.stats();
-  const JitRunCounters c = counters.snapshot();
-  report.jit_native_runs = c.native;
-  report.jit_pooled_runs = c.pooled;
-  report.jit_ineligible_runs = c.ineligible;
+  report.jit = sum(counters);
   if (error) std::rethrow_exception(error);
   return report;
 }
@@ -142,16 +123,11 @@ std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        std::size_t concurrency,
                                        JitRunCounters* out) {
   std::vector<ExecutionResult> results(jobs.size());
-  AtomicJitCounters counters;
+  std::vector<JitRunCounters> counters(jobs.size());
   drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
-    const PlanJob& job = jobs[i];
-    RunOptions opts = job.ropts;
-    opts.pool = &pool;
-    const std::int64_t n =
-        job.iterations > 0 ? job.iterations : job.plan->program().iterations;
-    results[i] = dispatch_resolved(*job.plan, job.kernel, n, opts, counters);
+    results[i] = run_plan(jobs[i], pool, counters[i]);
   });
-  if (out != nullptr) *out = counters.snapshot();
+  if (out != nullptr) *out = sum(counters);
   return results;
 }
 

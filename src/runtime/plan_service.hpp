@@ -5,17 +5,18 @@
 // This is the first end-to-end "many requests, one compiled program"
 // scenario from the ROADMAP's north star: a service holding a warm cache
 // of compiled plans and a warm pool of workers, where a request costs
-// a hash lookup plus a pooled run instead of a full
-// partition/compile/spawn cycle.  Duplicate structures across the batch
-// — the common case for a service replaying the same hot loops — compile
-// exactly once (PlanCache dedupes concurrent first requests too).
+// a hash lookup plus a pooled run instead of a full partition/compile
+// cycle.  Duplicate structures across the batch — the common case for a
+// service replaying the same hot loops — compile exactly once (PlanCache
+// dedupes concurrent first requests too).
 //
 // Concurrency shape: `concurrency` driver threads pull jobs from a
 // shared cursor; each driver resolves its job's plan in the cache and
 // runs it on the pool.  Driver threads are plain std::threads (they
 // spend their life blocked in run_gang), the pool's workers do the
-// actual loop execution.  Results land in per-job slots, so the output
-// vector is in job order regardless of completion order.
+// actual loop execution; with concurrency 1 the calling thread drives.
+// Results land in per-job slots, so the output vector is in job order
+// regardless of completion order.
 //
 // mimdc --batch <dir> and bench_plan_service are the two callers.
 #pragma once
@@ -34,25 +35,29 @@ namespace mimd {
 struct BatchJob {
   PartitionedProgram program;
   Ddg graph;
-  /// Iterations to run; 0 means the program's own compiled count.
+  /// Iterations to run: 0 or the program's own compiled count (run_plan).
   std::int64_t iterations = 0;
   CompileOptions copts;
-  /// Transport / kernel / pinning for this job.  `pool` is overridden by
-  /// the batch driver — every job runs on the shared pool.
+  /// Kernel / pinning for this job.  `pool` is overridden by run_batch —
+  /// every job runs on the shared pool.
   RunOptions ropts;
 };
 
 /// How the native tier served a set of resolved jobs.  `native` counts
-/// every kernel-served job; `pooled` is the subset dispatched through the
-/// ABI v2 caller-provides-the-threads entry onto the shared WorkerPool
-/// (the warm path with no pthread_create at all); `ineligible` counts
-/// jobs that had a published kernel but ran interpreted anyway (request
-/// shape or iteration count outside what the kernel implements) — the
-/// counter that tells an operator why warm traffic isn't native.
+/// every kernel-served job; `ineligible` counts jobs that had a published
+/// kernel but ran interpreted anyway (a request shape the kernel does not
+/// implement, see jit_run_eligible) — the counter that tells an operator
+/// why warm traffic isn't native.  Every native run executes on the
+/// caller's WorkerPool, so native is also the pooled count.
 struct JitRunCounters {
   std::uint64_t native = 0;
-  std::uint64_t pooled = 0;
   std::uint64_t ineligible = 0;
+
+  JitRunCounters& operator+=(const JitRunCounters& o) {
+    native += o.native;
+    ineligible += o.ineligible;
+    return *this;
+  }
 };
 
 struct BatchReport {
@@ -62,13 +67,9 @@ struct BatchReport {
   PlanCache::Stats cache_stats;
   /// End-to-end wall time for the whole batch, including compiles.
   double wall_seconds = 0.0;
-  /// Jobs served by a published native kernel instead of the interpreted
-  /// executor (always 0 for a cache without JIT).
-  std::uint64_t jit_native_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared pool (ABI v2).
-  std::uint64_t jit_pooled_runs = 0;
-  /// Jobs with a published kernel that still ran interpreted.
-  std::uint64_t jit_ineligible_runs = 0;
+  /// How the native tier served the batch (all 0 for a cache without
+  /// JIT).
+  JitRunCounters jit;
 };
 
 /// Run every job through `cache` + `pool` with `concurrency` concurrent
@@ -84,22 +85,33 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 /// program once per connection and runs it many times).
 struct PlanJob {
   std::shared_ptr<const ExecutorPlan> plan;
-  /// Iterations to run; 0 means the plan's own compiled count.
+  /// Iterations to run: 0 or the plan's own compiled count.
   std::int64_t iterations = 0;
   /// `pool` is overridden — every job runs on the shared pool.
   RunOptions ropts;
   /// Optional published native kernel for this plan (the cache entry's
-  /// JitSlot snapshot).  Used iff ropts is jit_run_eligible and the
-  /// iteration count covers the compiled program; otherwise the job runs
-  /// interpreted.  Results are bit-identical either way.
+  /// JitSlot snapshot).  Used iff ropts is jit_run_eligible; otherwise
+  /// the job runs interpreted.  Results are bit-identical either way.
   std::shared_ptr<const JitKernel> kernel;
 };
 
+/// The one dispatch every resolved run takes — run_batch, run_plans and
+/// the mimdd server's Run and RunBatch frames all end here.  Runs `job`
+/// on `pool`: native when a kernel is published and the request is
+/// jit_run_eligible, interpreted otherwise, tallying the choice into
+/// `counters`.  Bit-identical either way — the kernel is the same
+/// CompiledProgram lowered through the C backend.  A job.iterations that
+/// is neither 0 nor the compiled count raises ContractViolation before
+/// anything runs: a plan computes exactly the iterations it was compiled
+/// for, never zero rows past them.
+ExecutionResult run_plan(const PlanJob& job, WorkerPool& pool,
+                         JitRunCounters& counters);
+
 /// run_batch without the cache leg: execute pre-resolved plans on `pool`
 /// with the same concurrent-driver shape and error discipline (first error
-/// — e.g. iterations below the compiled count — rethrown after the drain).
-/// Results are in job order.  `counters`, when non-null, receives the
-/// native/pooled/ineligible dispatch tallies for the batch.
+/// — e.g. an iteration count other than the compiled one — rethrown after
+/// the drain).  Results are in job order.  `counters`, when non-null,
+/// receives the native/ineligible dispatch tallies for the batch.
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
                                        std::size_t concurrency = 0,

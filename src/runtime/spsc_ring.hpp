@@ -1,5 +1,5 @@
-// Lock-free bounded single-producer/single-consumer ring — the fast
-// transport (Transport::Spsc) behind the threaded executor.
+// Lock-free bounded single-producer/single-consumer ring — the one
+// transport behind the threaded executor.
 //
 // Every runtime channel is SPSC by construction: a channel is keyed by
 // (edge, src processor, dst processor), so exactly one thread sends and
@@ -29,14 +29,21 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "runtime/channel.hpp"
 #include "runtime/transport.hpp"
 #include "support/assert.hpp"
 
 namespace mimd {
+
+/// The unit a channel carries: one value, tagged with its producing
+/// iteration so receivers can assert FIFO delivery.
+struct ChannelMessage {
+  std::int64_t iter = 0;  ///< producing iteration, for FIFO validation
+  double value = 0.0;
+};
 
 class SpscChannel {
  public:

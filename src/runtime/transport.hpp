@@ -1,5 +1,5 @@
-// Transport selection and the ring-capacity policy, shared by every layer
-// that moves values between processors: the in-process executor
+// The ring-capacity policy, shared by every layer that moves values
+// between processors: the in-process executor
 // (runtime/executor.*), the SPSC ring itself (runtime/spsc_ring.hpp), and
 // the generated-C backend (partition/c_codegen.*), which emits the same
 // ring in C11 and must size it identically.
@@ -16,18 +16,6 @@
 #include <cstdint>
 
 namespace mimd {
-
-/// Which channel implementation carries cross-thread values.
-enum class Transport : std::uint8_t {
-  Mutex,  ///< mutex + condvar (baseline; pre-C11-atomics portability)
-  Spsc,   ///< lock-free bounded SPSC ring (default)
-};
-
-/// The transport's CLI / report spelling, shared by mimdc, the batch
-/// driver, and the benches.
-[[nodiscard]] constexpr const char* transport_name(Transport t) {
-  return t == Transport::Spsc ? "spsc" : "mutex";
-}
 
 /// Smallest power of two >= min_capacity (and >= 2): the ring sizes the
 /// SpscChannel constructor and the emitted C both use, so cursor masking

@@ -212,18 +212,12 @@ ExecutionResult decode_result(Decoder& d) {
 namespace {
 
 void encode_remote_opts(Encoder& e, const RemoteRunOptions& o) {
-  e.u8(static_cast<std::uint8_t>(o.transport));
   e.u8(o.pin_threads ? 1 : 0);
   e.i32(o.work_per_cycle);
 }
 
 RemoteRunOptions decode_remote_opts(Decoder& d) {
   RemoteRunOptions o;
-  const std::uint8_t t = d.u8();
-  if (t > static_cast<std::uint8_t>(Transport::Spsc)) {
-    throw WireError("invalid transport");
-  }
-  o.transport = static_cast<Transport>(t);
   o.pin_threads = d.u8() != 0;
   o.work_per_cycle = d.i32();
   return o;
@@ -335,7 +329,7 @@ std::vector<std::uint8_t> encode_run_batch(const RunBatchRequest& m) {
 RunBatchRequest decode_run_batch(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
   RunBatchRequest m;
-  const std::uint32_t n = d.count(22);  // 8 + 8 + 6 per item
+  const std::uint32_t n = d.count(21);  // 8 + 8 + 5 per item
   m.items.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.items.push_back(decode_run_request(d));
   m.concurrency = d.u32();

@@ -217,14 +217,15 @@ struct SubmitProgramReply {
 /// (exact ring sizing): a remote client must not be able to pick a cap
 /// that stalls a daemon worker (see RunOptions::channel_capacity).
 struct RemoteRunOptions {
-  Transport transport = Transport::Spsc;
   bool pin_threads = false;
   int work_per_cycle = 0;
 };
 
 struct RunRequest {
   std::uint64_t program_id = 0;
-  /// 0 = the program's own compiled iteration count.
+  /// 0 = the program's own compiled iteration count.  Any other value
+  /// must equal that count; the server answers a mismatch with an Error
+  /// frame (a plan computes exactly the iterations it was compiled for).
   std::int64_t iterations = 0;
   RemoteRunOptions opts;
 };
@@ -266,11 +267,11 @@ struct StatsReply {
   std::uint64_t jit_in_flight = 0;
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
-  // PR 10: pooled-dispatch split.  jit_pooled_runs is the subset of
-  // jit_native_runs served through the ABI v2 caller-provides-the-threads
-  // entry on the shared WorkerPool; jit_ineligible_runs counts runs that
-  // had a published kernel but still went interpreted (request shape or
-  // iteration count outside what the kernel implements).
+  // jit_pooled_runs counts native runs served on the shared WorkerPool —
+  // every native run is, so it equals jit_native_runs (kept so readers of
+  // the positional layout stay in lockstep); jit_ineligible_runs counts
+  // runs that had a published kernel but still went interpreted (a
+  // request shape the kernel does not implement).
   std::uint64_t jit_pooled_runs = 0;
   std::uint64_t jit_ineligible_runs = 0;
 };

@@ -2,14 +2,14 @@
 // serve many runs" half of the plan service (the other half is
 // runtime/plan_cache.hpp).
 //
-// ExecutorPlan::run() historically spawned one fresh std::thread per
-// compiled thread on every call; at the small-n request sizes a plan
-// service handles, thread creation dominates the run itself — the exact
-// overhead inversion McKenney's *Is Parallel Programming Hard* warns
-// about for fine-grained parallel runtimes.  A WorkerPool keeps its
+// Every run, interpreted or native, executes its compiled threads on a
+// WorkerPool.  At the small-n request sizes a plan service handles,
+// creating a thread per compiled thread per run would dominate the run
+// itself — the overhead inversion McKenney's *Is Parallel Programming
+// Hard* warns about for fine-grained parallel runtimes.  A pool keeps its
 // threads alive across runs, so a run costs two condvar handoffs per
-// worker instead of a clone()/join() pair (RunOptions::pool selects it;
-// bench_plan_service measures the gap).
+// worker instead of a clone()/join() pair.  Callers that bring no pool
+// (RunOptions::pool == nullptr) share default_worker_pool().
 //
 // Scheduling unit: the *gang*.  A compiled program's threads communicate
 // through blocking channels, so a run's tasks must all be in flight
@@ -27,12 +27,11 @@
 // and finishes, and its freed workers then complete the front gang's
 // claim — no circular wait, for any mix of concurrent run_gang() callers.
 //
-// CPU-affinity pinning rides on the pool (and on spawn-per-run): the
-// compiled thread order was frozen at compile() time precisely so thread
-// i of a plan can be bound to CPU (i mod cores) run after run
-// (RunOptions::pin_threads).  The Linux implementation uses
-// pthread_setaffinity_np behind the portable shim below; elsewhere
-// pinning degrades to a no-op and pin_current_thread_to_cpu reports
+// CPU-affinity pinning rides on the pool: the compiled thread order was
+// frozen at compile() time precisely so thread i of a plan can be bound to
+// CPU (i mod cores) run after run (RunOptions::pin_threads).  The Linux
+// implementation uses pthread_setaffinity_np behind the portable shim below;
+// elsewhere pinning degrades to a no-op and pin_current_thread_to_cpu reports
 // false.
 #pragma once
 
@@ -79,23 +78,31 @@ void restore_current_thread_affinity(const CpuAffinityMask& mask);
 
 class WorkerPool;
 
-/// Run `count` indexed tasks as one gang — on `pool`'s workers when
-/// non-null, else one fresh thread per task — returning when all have
-/// finished.  With `pin`, each task's executing thread is pinned to CPU
-/// (slice + i) for the task's duration (one claim_pin_slice(count) per
-/// call) and the previous mask is restored afterwards.  This is the one
-/// spawn-vs-pool + pinning policy shared by the interpreted executor and
-/// the JIT's pooled kernel dispatch.  `body(i)` must not throw.
-void run_indexed_gang(WorkerPool* pool, std::size_t count, bool pin,
+/// Run `count` indexed tasks as one gang on `pool`'s workers, returning
+/// when all have finished.  With `pin`, each task's executing thread is
+/// pinned to CPU (slice + i) for the task's duration (one
+/// claim_pin_slice(count) per call) and the previous mask is restored
+/// afterwards.  This is the one gang + pinning policy shared by the
+/// interpreted executor and the JIT's kernel dispatch.  `body(i)` must
+/// not throw.
+void run_indexed_gang(WorkerPool& pool, std::size_t count, bool pin,
                       const std::function<void(std::size_t)>& body);
+
+/// The process-default pool that runs every gang whose caller brings no
+/// pool of its own (a null RunOptions::pool, or a null pool passed to
+/// JitKernel::run).  Built on first use, so a process that forks before
+/// its first run (mimdd --daemonize) never forks a live pool.  It is
+/// never destroyed: process exit does not join its workers, so an exit
+/// can never wait on — or tear down — a gang still in flight.
+[[nodiscard]] WorkerPool& default_worker_pool();
 
 /// A persistent pool of worker threads executing gangs of blocking,
 /// mutually communicating tasks.  Thread-safe: any number of threads may
 /// call run_gang() concurrently; gangs are claimed FIFO.
 ///
 /// Tasks must not throw — they run on pool threads where an escaping
-/// exception is std::terminate, exactly as on the spawn-per-run path
-/// (see ExecutorPlan::run's contract on mid-run channel violations).
+/// exception is std::terminate (see ExecutorPlan::run's contract on
+/// mid-run channel violations).
 class WorkerPool {
  public:
   /// Workers are spawned lazily as gangs demand them; `initial_workers`

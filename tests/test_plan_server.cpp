@@ -29,11 +29,14 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/mimd.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/jit_compiler.hpp"
 #include "runtime/plan_client.hpp"
 #include "runtime/plan_server.hpp"
 #include "runtime/plan_service.hpp"
 #include "support/loop_gen.hpp"
+#include "workloads/paper_examples.hpp"
 
 namespace mimd {
 namespace {
@@ -141,8 +144,7 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
   }
 
   // Leg 1: the daemon, over the Unix socket (one connection, one batched
-  // run — the mimdc --batch --connect shape).  Channel transport
-  // alternates so both stay covered.
+  // run — the mimdc --batch --connect shape).
   TestServer ts("ps_fuzz");
   std::vector<ExecutionResult> via_daemon;
   {
@@ -155,22 +157,19 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
       wire::RunRequest item;
       item.program_id = sub.program_id;
       item.iterations = 0;  // compiled count
-      item.opts.transport = i % 2 == 0 ? Transport::Spsc : Transport::Mutex;
       items.push_back(item);
     }
     via_daemon = client.run_batch(items).results;
   }
   ASSERT_EQ(via_daemon.size(), loops.size());
 
-  // Leg 2: the in-process plan service (local cache + pool), same
-  // transport per index.
+  // Leg 2: the in-process plan service (local cache + pool).
   std::vector<BatchJob> jobs;
   for (std::size_t i = 0; i < loops.size(); ++i) {
     BatchJob job;
     job.program = loops[i].program;
     job.graph = loops[i].graph;
     job.iterations = 0;
-    job.ropts.transport = i % 2 == 0 ? Transport::Spsc : Transport::Mutex;
     jobs.push_back(std::move(job));
   }
   PlanCache cache(kPrograms + 8);
@@ -276,9 +275,7 @@ TEST(PlanServer, ConcurrentMixedTrafficStress) {
         for (int r = 0; r < kRequestsPerClient; ++r) {
           const std::size_t i =
               static_cast<std::size_t>(c + r) % loops.size();
-          wire::RemoteRunOptions opts;
-          opts.transport = r % 2 == 0 ? Transport::Spsc : Transport::Mutex;
-          const ExecutionResult result = client.run(ids[i], 0, opts);
+          const ExecutionResult result = client.run(ids[i]);
           if (!values_match(result, refs[i], loops[i].iterations)) {
             ++failures;
             const std::lock_guard<std::mutex> lock(log_mu);
@@ -471,6 +468,116 @@ TEST(PlanServer, OversizeResultIsRefusedBeforeRunningNotAfter) {
   const ExecutionResult r = client.run(id);
   EXPECT_TRUE(values_match(r, run_reference(gl.graph, gl.iterations),
                            gl.iterations));
+}
+
+// A plan computes exactly the iterations it was compiled for.  Asking
+// fig7 compiled at 64 for 128 used to return rows 64..127 as silent
+// zeros; now every surface refuses with a typed error before running,
+// and the remote connection stays usable afterwards.
+TEST(PlanServer, RunPastTheCompiledCountIsATypedErrorOnEverySurface) {
+  ParallelizeOptions popts;
+  popts.machine = Machine{2, 2};
+  popts.iterations = 64;
+  popts.emit_code = false;
+  const ParallelizeResult r = parallelize(workloads::fig7_loop(), popts);
+  const Ddg& g = r.normalized.graph;
+  const auto plan =
+      std::make_shared<const ExecutorPlan>(compile(r.program, g));
+  ASSERT_EQ(plan->program().iterations, 64);
+
+  // In process: the plan itself and the shared dispatch.
+  EXPECT_THROW((void)plan->run(128), ContractViolation);
+  PlanJob job;
+  job.plan = plan;
+  job.iterations = 128;
+  WorkerPool pool;
+  JitRunCounters counters;
+  EXPECT_THROW((void)run_plan(job, pool, counters), ContractViolation);
+  EXPECT_EQ(pool.gangs_run(), 0u);
+
+  // Native.
+  if (jit_available()) {
+    const std::shared_ptr<const JitKernel> kernel = jit_compile(*plan);
+    EXPECT_THROW((void)kernel->run(128), ContractViolation);
+  }
+
+  // Remote: a Run and a RunBatch item each get an Error frame.
+  TestServer ts("ps_past_count");
+  PlanClient client = PlanClient::connect(ts.server.socket_path());
+  const std::uint64_t id = client.submit_program(r.program, g).program_id;
+  EXPECT_THROW((void)client.run(id, 128), RemoteError);
+  wire::RunRequest good;
+  good.program_id = id;
+  wire::RunRequest bad = good;
+  bad.iterations = 128;
+  EXPECT_THROW((void)client.run_batch({good, bad}), RemoteError);
+  EXPECT_THROW((void)client.run(id, -1), RemoteError);
+
+  const ExecutionResult ok = client.run(id, 64);
+  EXPECT_TRUE(values_match(ok, run_reference(g, 64), 64));
+}
+
+// Run is a batch of one: with a published kernel (or with the JIT off),
+// a Run and a one-item RunBatch of the same request return bit-identical
+// values and move every jit Stats counter by the same amount — for an
+// eligible request and for one the kernel cannot serve.  With the JIT
+// off every jit counter stays 0.
+TEST(PlanServer, RunAndOneItemRunBatchDispatchIdentically) {
+  const GeneratedLoop gl = generate_loop(97);
+  for (const bool jit : {true, false}) {
+    TestServer ts(jit ? "ps_parity_jit" : "ps_parity_nojit",
+                  [&](PlanServerOptions& o) { o.enable_jit = jit; });
+    PlanClient client = PlanClient::connect(ts.server.socket_path());
+    const std::uint64_t id =
+        client.submit_program(gl.program, gl.graph).program_id;
+    const bool native = jit && ts.server.cache().jit_available();
+    if (native) {
+      ts.server.cache().wait_jit_idle();  // the kernel is published
+      ASSERT_EQ(client.stats().jit_compiles, 1u);
+    }
+    const auto jit_counters = [](const wire::StatsReply& st) {
+      return std::vector<std::uint64_t>{
+          st.jit_native_runs, st.jit_pooled_runs, st.jit_interpreted_runs,
+          st.jit_ineligible_runs};
+    };
+    const auto delta = [](const std::vector<std::uint64_t>& a,
+                          const std::vector<std::uint64_t>& b) {
+      std::vector<std::uint64_t> d(a.size());
+      for (std::size_t i = 0; i < a.size(); ++i) d[i] = b[i] - a[i];
+      return d;
+    };
+    for (const int work : {0, 3}) {
+      wire::RunRequest item;
+      item.program_id = id;
+      item.opts.work_per_cycle = work;
+      const auto s0 = jit_counters(client.stats());
+      const ExecutionResult via_run = client.run(id, 0, item.opts);
+      const auto s1 = jit_counters(client.stats());
+      const wire::RunBatchReply via_batch = client.run_batch({item});
+      const auto s2 = jit_counters(client.stats());
+
+      ASSERT_EQ(via_batch.results.size(), 1u);
+      EXPECT_TRUE(
+          values_match(via_run, via_batch.results[0], gl.iterations))
+          << "work " << work;
+      KernelOptions kernel;
+      kernel.work_per_cycle = work;
+      EXPECT_TRUE(values_match(
+          via_run, run_reference(gl.graph, gl.iterations, kernel),
+          gl.iterations))
+          << "work " << work;
+      EXPECT_EQ(delta(s0, s1), delta(s1, s2)) << "work " << work;
+      if (!jit) {
+        EXPECT_EQ(s2, std::vector<std::uint64_t>(4, 0)) << "work " << work;
+      } else if (native) {
+        // native, pooled, interpreted, ineligible
+        const std::vector<std::uint64_t> want =
+            work == 0 ? std::vector<std::uint64_t>{1, 1, 0, 0}
+                      : std::vector<std::uint64_t>{0, 0, 1, 1};
+        EXPECT_EQ(delta(s0, s1), want) << "work " << work;
+      }
+    }
+  }
 }
 
 TEST(PlanServer, ProgramIdsArePerConnection) {
@@ -764,7 +871,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     // First request is deliberately expensive; the rest are cheap and
     // overtake it on the handler pool.
     opts.work_per_cycle = r == 0 ? 2000 : 0;
-    opts.transport = r % 2 == 0 ? Transport::Spsc : Transport::Mutex;
     futs.push_back(client.run_async(ids[i], 0, opts));
     which.push_back(i);
   }

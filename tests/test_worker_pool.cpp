@@ -1,14 +1,18 @@
 // The plan service's pool half: gang execution, growth, concurrent gangs
 // (the FIFO-claim deadlock-freedom invariant, replayed under TSan in CI),
-// pooled runs bit-identical to spawn-per-run on both transports, and the
-// CPU-affinity shim behind RunOptions::pin_threads.
+// runs on a caller's pool bit-identical to runs on the process-default
+// pool, and the CPU-affinity shim behind RunOptions::pin_threads.  Tests
+// named "...Spawn..." predate the removal of spawn-per-run execution; the
+// default pool now stands where the spawned threads used to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <thread>
 #include <vector>
 
+#include "core/mimd.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/worker_pool.hpp"
@@ -123,20 +127,45 @@ TEST(WorkerPool, PooledRunIsBitIdenticalToSpawnOnBothTransports) {
   const std::int64_t n = 40;
   const ExecutorPlan plan = fig7_plan(n);
   WorkerPool pool;
-  for (const Transport transport : {Transport::Spsc, Transport::Mutex}) {
-    RunOptions spawn_opts;
-    spawn_opts.transport = transport;
-    const ExecutionResult spawned = plan.run(n, spawn_opts);
+  const ExecutionResult on_default = plan.run(n);
 
-    RunOptions pooled_opts = spawn_opts;
-    pooled_opts.pool = &pool;
-    const ExecutionResult pooled_first = plan.run(n, pooled_opts);
-    const ExecutionResult pooled_again = plan.run(n, pooled_opts);
+  RunOptions pooled_opts;
+  pooled_opts.pool = &pool;
+  const ExecutionResult pooled_first = plan.run(n, pooled_opts);
+  const ExecutionResult pooled_again = plan.run(n, pooled_opts);
 
-    expect_identical(pooled_first, spawned, n);
-    expect_identical(pooled_again, spawned, n);  // reuse changes nothing
-  }
-  EXPECT_EQ(pool.gangs_run(), 4u);
+  expect_identical(pooled_first, on_default, n);
+  expect_identical(pooled_again, on_default, n);  // reuse changes nothing
+  EXPECT_EQ(pool.gangs_run(), 2u);
+}
+
+// A caller that brings no pool runs on the one lazily built process-
+// default pool: each pool-less run is one gang there, and sequential runs
+// grow it no wider than the widest gang they brought.
+TEST(WorkerPool, PoolLessRunsShareTheDefaultPool) {
+  const Ddg g = workloads::fig7_loop();
+  ParallelizeOptions popts;
+  popts.machine = Machine{2, 2};
+  popts.iterations = 24;
+  popts.emit_code = false;
+  const ParallelizeResult r = parallelize(g, popts);
+  const std::size_t widest = r.program.programs.size();
+
+  WorkerPool& pool = default_worker_pool();
+  EXPECT_EQ(&pool, &default_worker_pool());
+  const std::uint64_t gangs_before = pool.gangs_run();
+  // Another test in this process may already have widened the pool.
+  const std::size_t workers_before = pool.num_workers();
+  const ExecutionResult first = run_threaded(
+      r.program, r.normalized.graph, r.normalized_iterations);
+  const ExecutionResult second = run_threaded(
+      r.program, r.normalized.graph, r.normalized_iterations);
+  EXPECT_EQ(pool.gangs_run() - gangs_before, 2u);
+  EXPECT_LE(pool.num_workers(), std::max(workers_before, widest));
+  expect_identical(first, second, r.normalized_iterations);
+  expect_identical(
+      first, run_reference(r.normalized.graph, r.normalized_iterations),
+      r.normalized_iterations);
 }
 
 TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
@@ -149,15 +178,17 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
       compile(lower(materialize(*r.pattern, m.processors, n), ll20), ll20);
   const ExecutorPlan fig7 = fig7_plan(n);
 
+  // Concurrent callers on one explicit pool, then concurrent pool-less
+  // callers sharing the process-default pool.
   WorkerPool pool;
   std::vector<std::thread> drivers;
   std::atomic<bool> ok{true};
-  for (int d = 0; d < 4; ++d) {
+  for (int d = 0; d < 8; ++d) {
     drivers.emplace_back([&, d] {
       const ExecutorPlan& plan = (d % 2 == 0) ? fig7 : ll20_plan;
       const Ddg& g = (d % 2 == 0) ? fig7.graph() : ll20;
       RunOptions opts;
-      opts.pool = &pool;
+      opts.pool = d < 4 ? &pool : nullptr;
       const ExecutionResult res = plan.run(n, opts);
       const auto reference = run_sequential(g, n);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -177,14 +208,14 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
 
 // ---- The JIT's pool dispatch path, with a stub kernel ----
 
-// JitKernel::run_pooled is compiled out under TSan (dlopen'd kernels are
+// JitKernel::run is compiled out under TSan (dlopen'd kernels are
 // uninstrumented), but its dispatch skeleton — one context, one
 // run_indexed_gang over threads() tasks — is plain instrumented code.
 // Replay it with an in-process fake kernel whose "threads" rendezvous
 // through the context, proving run_indexed_gang co-schedules the whole
 // gang (a dispatcher running tasks one at a time would deadlock) and
-// funnels every index to its own slot exactly once, pooled or spawned,
-// pinned or not.
+// funnels every index to its own slot exactly once, on a caller's pool
+// or the default one, pinned or not.
 TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
   constexpr std::size_t kThreads = 3;
   struct FakeCtx {
@@ -195,7 +226,8 @@ TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
   for (const bool use_pool : {true, false}) {
     for (const bool pin : {false, true}) {
       FakeCtx ctx;  // mimics mimd_kernel_ctx_create
-      run_indexed_gang(use_pool ? &pool : nullptr, kThreads, pin,
+      run_indexed_gang(use_pool ? pool : default_worker_pool(), kThreads,
+                       pin,
                        [&ctx](std::size_t i) {
                          // mimics mimd_kernel_run_on(ctx, i): blocks until
                          // every gang peer is in flight, like the real
@@ -209,7 +241,7 @@ TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
                        });
       for (std::size_t i = 0; i < kThreads; ++i) {
         EXPECT_EQ(ctx.runs[i].load(), 1)
-            << "thread " << i << (use_pool ? " pooled" : " spawned")
+            << "thread " << i << (use_pool ? " pooled" : " default pool")
             << (pin ? " pinned" : "");
       }
     }
@@ -251,7 +283,7 @@ TEST(Affinity, PinnedRunsAreBitIdenticalPooledAndSpawned) {
 
   RunOptions pinned;
   pinned.pin_threads = true;
-  expect_identical(plan.run(n, pinned), unpinned, n);  // spawn path
+  expect_identical(plan.run(n, pinned), unpinned, n);  // default pool
 
   WorkerPool pool;
   pinned.pool = &pool;
