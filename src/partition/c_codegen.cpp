@@ -367,8 +367,7 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
     out << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots)
         << "]; /* " << t.num_slots_ssa << " values, " << t.num_slots
         << " after liveness reuse */\n";
-    const auto shape =
-        opts.roll_steady_state ? detect_period(t) : std::nullopt;
+    const auto shape = detect_period(t);
     if (!shape.has_value()) {
       for (const CompiledOp& op : t.ops) {
         emit_op(out, t, op, g, std::to_string(op.iter), "", shared);

@@ -17,7 +17,12 @@
 //    (runtime/transport.hpp), so sends never block;
 //  * one thread per processor running its compiled op sequence; computed
 //    values are also stored to a global results array R[node][iter]
-//    (single writer per entry);
+//    (single writer per entry).  Each thread's periodic steady state (the
+//    pattern made it periodic by construction) is detected and emitted as
+//    a real `for` loop — prologue straight-line, kernel rolled, epilogue
+//    straight-line — like the paper's Figure 7(e); a stream without at
+//    least three detected repetitions stays fully straight-line code,
+//    which is always correct;
 //  * a main() that runs the threads, recomputes everything sequentially,
 //    and reports "OK" iff the parallel values match bit for bit.
 //
@@ -35,13 +40,6 @@
 namespace mimd {
 
 struct CEmitOptions {
-  /// Detect each thread's periodic steady state (the pattern made it
-  /// periodic by construction) and emit it as a real `for` loop — prologue
-  /// straight-line, kernel rolled, epilogue straight-line — like the
-  /// paper's Figure 7(e).  Streams without at least three detected
-  /// repetitions fall back to fully unrolled straight-line code, which is
-  /// always correct.
-  bool roll_steady_state = true;
   /// Emit the sequential recompute + bitwise comparison into main()
   /// (default).  false (`mimdc --c --no-check`): skip the self-validation
   /// entirely — no SEQ array, no sequential() function — and emit a

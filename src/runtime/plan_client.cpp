@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -22,7 +21,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Decode adapter for replies whose payload carries nothing (Shutdown).
+/// Decode adapter for replies whose payload carries nothing (Shutdown,
+/// Pong).
 std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
   if (!payload.empty()) throw wire::WireError("unexpected reply payload");
   return 0;
@@ -35,15 +35,10 @@ std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
 struct PlanClient::Impl {
   int fd = -1;
   int timeout_ms = 0;
-  /// Deferred Hello: connect() never does I/O beyond the TCP/Unix
-  /// handshake, so a dead or hostile server surfaces as a typed error at
-  /// FIRST USE, exactly like the pre-v2 client.  The first request pays
-  /// the negotiation roundtrip.
-  bool negotiate_pending = false;
-  std::atomic<std::uint32_t> version{wire::kProtocolV1};
-  std::thread reader;  ///< only in v2 mode
+  std::thread reader;  ///< started by connect(), joined by close()
 
-  /// Serializes frame *writes* (v2) or whole roundtrips (v1 fallback).
+  /// Serializes frame writes: each frame leaves as one contiguous run of
+  /// bytes, whichever thread submits it.
   std::mutex wmu;
 
   /// Guards everything below.
@@ -54,7 +49,7 @@ struct PlanClient::Impl {
     Clock::time_point enqueued;
     /// Called exactly once, outside mu: with the reply frame, or with the
     /// exception that killed the request.
-    std::function<void(wire::FrameV2*, std::exception_ptr)> complete;
+    std::function<void(wire::Frame*, std::exception_ptr)> complete;
   };
   std::unordered_map<std::uint64_t, Pending> pending;
   bool dead = false;  ///< transport failed; every new submit fails fast
@@ -76,46 +71,21 @@ struct PlanClient::Impl {
     for (auto& [id, p] : orphans) p.complete(nullptr, ep);
   }
 
-  void reader_loop();
-
-  /// Run the deferred Hello exchange if it has not happened yet.  Both
-  /// legs use v1 framing: a v1 server answers the unknown Hello frame
-  /// with an ordinary Error frame and keeps the connection usable — the
-  /// fallback costs one roundtrip and degrades to exactly the old
-  /// blocking client.  A transport fault here kills the connection
-  /// (typed, at first use); throws wire::WireError.
-  void ensure_negotiated() {
-    const std::lock_guard<std::mutex> lk(wmu);
-    if (!negotiate_pending) return;
-    negotiate_pending = false;
-    try {
-      wire::write_frame(fd, wire::FrameType::Hello,
-                        wire::encode_hello(wire::HelloRequest{}));
-      const std::optional<wire::Frame> reply = wire::read_frame(fd);
-      if (!reply) throw wire::WireError("server closed during hello");
-      if (reply->type == wire::FrameType::HelloReply) {
-        const std::uint32_t v = wire::decode_hello_reply(reply->payload);
-        if (v >= wire::kProtocolV2) {
-          version.store(wire::kProtocolV2, std::memory_order_release);
-          reader = std::thread([this] { reader_loop(); });
-        }
-      } else if (reply->type != wire::FrameType::Error) {
-        throw wire::WireError("unexpected hello reply frame type " +
-                              std::to_string(static_cast<int>(reply->type)));
-      }
-      // Error frame: v1 server — stay in blocking v1 mode.
-    } catch (const wire::WireError& e) {
-      const std::lock_guard<std::mutex> dlk(mu);
-      dead = true;
-      if (dead_reason.empty()) dead_reason = e.what();
-      throw;
+  /// When the oldest outstanding reply exhausts its timeout_ms budget.
+  /// Caller holds mu and has checked pending is non-empty.
+  Clock::time_point oldest_deadline_locked() const {
+    Clock::time_point earliest = Clock::time_point::max();
+    for (const auto& [id, p] : pending) {
+      earliest = std::min(earliest, p.enqueued);
     }
+    return earliest + std::chrono::milliseconds(timeout_ms);
   }
+
+  void reader_loop();
 };
 
 void PlanClient::Impl::reader_loop() {
   wire::FrameBuffer rbuf;
-  rbuf.set_version(wire::kProtocolV2);
   std::vector<std::uint8_t> chunk(64 * 1024);
   for (;;) {
     // poll() first so SO_RCVTIMEO only governs mid-frame stalls: an IDLE
@@ -127,13 +97,10 @@ void PlanClient::Impl::reader_loop() {
       if (pending.empty()) {
         timeout = timeout_ms;  // idle tick; re-checked below
       } else {
-        Clock::time_point earliest = Clock::time_point::max();
-        for (const auto& [id, p] : pending) {
-          earliest = std::min(earliest, p.enqueued);
-        }
-        const auto deadline = earliest + std::chrono::milliseconds(timeout_ms);
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - Clock::now());
+        // Rounded up, so the wake lands at or after the deadline and the
+        // expiry check below never spins on a sub-millisecond remainder.
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            oldest_deadline_locked() - Clock::now());
         timeout = static_cast<int>(std::max<std::int64_t>(left.count(), 0));
       }
     }
@@ -147,13 +114,17 @@ void PlanClient::Impl::reader_loop() {
       return;
     }
     if (rc == 0) {
-      bool owed = false;
+      bool expired = false;
       bool probe = false;
       std::uint64_t ping_id = 0;
       {
         const std::lock_guard<std::mutex> lk(mu);
-        owed = !pending.empty();
-        if (!owed && !dead && !closing) {
+        if (!pending.empty()) {
+          // A request submitted while this poll slept on an idle tick
+          // owes its reply by a later deadline than the tick's: only the
+          // oldest reply's own budget running out is a timeout.
+          expired = Clock::now() >= oldest_deadline_locked();
+        } else if (!dead && !closing) {
           // Idle tick, nothing outstanding: the reply deadline has no
           // request to arm on, so a wedged server would go unnoticed
           // until the next real submit hangs.  Probe with a Ping — the
@@ -164,7 +135,7 @@ void PlanClient::Impl::reader_loop() {
           Pending p;
           p.expected = wire::FrameType::Pong;
           p.enqueued = Clock::now();
-          p.complete = [](wire::FrameV2*, std::exception_ptr) {};
+          p.complete = [](wire::Frame*, std::exception_ptr) {};
           pending.emplace(ping_id, std::move(p));
           probe = true;
         }
@@ -172,24 +143,22 @@ void PlanClient::Impl::reader_loop() {
       if (probe) {
         try {
           const std::lock_guard<std::mutex> lk(wmu);
-          wire::write_frame_v2(fd, wire::FrameType::Ping, ping_id, {});
+          wire::write_frame(fd, wire::FrameType::Ping, ping_id, {});
         } catch (const wire::WireError& e) {
           fail_all(std::string("heartbeat write failed: ") + e.what());
           return;
         }
         continue;
       }
-      if (!owed) continue;  // idle tick while closing/dead
-      // The oldest outstanding reply exhausted its budget (the deadline
-      // math above makes this exact, not an early fire).
+      if (!expired) continue;  // re-arm on the true oldest deadline
       fail_all("receive timed out");
       return;
     }
 
     // Readable: drain one chunk, then dispatch every complete frame in
     // it.  One recv may carry dozens of pipelined replies — the
-    // client-side half of the syscall amortization v2 exists for (the
-    // server's sendmsg coalescing being the other half).
+    // client-side half of the syscall amortization pipelining exists for
+    // (the server's sendmsg coalescing being the other half).
     const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -209,7 +178,7 @@ void PlanClient::Impl::reader_loop() {
     }
     rbuf.append(chunk.data(), static_cast<std::size_t>(n));
     for (;;) {
-      std::optional<wire::FrameV2> frame;
+      std::optional<wire::Frame> frame;
       try {
         frame = rbuf.next();
       } catch (const wire::WireError& e) {
@@ -263,8 +232,7 @@ void PlanClient::Impl::reader_loop() {
   }
 }
 
-PlanClient PlanClient::connect(const std::string& endpoint, int timeout_ms,
-                               bool pipeline) {
+PlanClient PlanClient::connect(const std::string& endpoint, int timeout_ms) {
   const int fd = wire::connect_endpoint(wire::parse_endpoint(endpoint));
   if (timeout_ms > 0) {
     timeval tv{};
@@ -277,11 +245,11 @@ PlanClient PlanClient::connect(const std::string& endpoint, int timeout_ms,
   PlanClient c;
   c.impl_->fd = fd;
   c.impl_->timeout_ms = timeout_ms;
-  // Negotiation is deferred to the first request (Impl::ensure_negotiated)
-  // so connect() keeps its historical contract: it succeeds whenever the
-  // socket connects, and an unresponsive or hostile peer surfaces as a
-  // typed error at first use.
-  c.impl_->negotiate_pending = pipeline;
+  // The reader only waits for bytes; connect() itself never waits for a
+  // reply, so an unresponsive peer surfaces as a typed error at first use
+  // (or at the first unanswered heartbeat).
+  Impl* im = c.impl_.get();
+  im->reader = std::thread([im] { im->reader_loop(); });
   return c;
 }
 
@@ -305,16 +273,10 @@ PlanClient& PlanClient::operator=(PlanClient&& other) noexcept {
 
 bool PlanClient::connected() const { return impl_ && impl_->fd >= 0; }
 
-std::uint32_t PlanClient::protocol_version() const {
-  return impl_ ? impl_->version.load(std::memory_order_acquire)
-               : wire::kProtocolV1;
-}
-
 void PlanClient::negotiate() {
-  if (!impl_ || impl_->fd < 0) {
-    throw wire::WireError("client not connected");
-  }
-  impl_->ensure_negotiated();
+  (void)submit_typed(wire::FrameType::Ping, wire::FrameType::Pong, {},
+                     decode_empty_reply)
+      .get();
 }
 
 std::string PlanClient::transport_error() const {
@@ -352,14 +314,7 @@ std::future<T> PlanClient::submit_typed(
     return fut;
   }
 
-  try {
-    im->ensure_negotiated();
-  } catch (...) {
-    // First-use negotiation failed: this request reports it (typed, via
-    // the future, like every other transport fault).
-    prom->set_exception(std::current_exception());
-    return fut;
-  }
+  std::uint64_t id = 0;
   {
     const std::lock_guard<std::mutex> lk(im->mu);
     if (im->dead) {
@@ -367,75 +322,42 @@ std::future<T> PlanClient::submit_typed(
           std::make_exception_ptr(wire::WireError(im->dead_reason)));
       return fut;
     }
+    id = im->next_id++;
+    Impl::Pending p;
+    p.expected = expected_reply;
+    p.enqueued = Clock::now();
+    p.complete = [prom, decode](wire::Frame* frame, std::exception_ptr ep) {
+      if (ep) {
+        prom->set_exception(ep);
+        return;
+      }
+      try {
+        prom->set_value(decode(frame->payload));
+      } catch (...) {
+        prom->set_exception(std::current_exception());
+      }
+    };
+    im->pending.emplace(id, std::move(p));
   }
-
-  if (im->version.load(std::memory_order_acquire) >= wire::kProtocolV2) {
-    std::uint64_t id = 0;
+  try {
+    const std::lock_guard<std::mutex> lk(im->wmu);
+    wire::write_frame(im->fd, request, id, payload);
+  } catch (const wire::WireError&) {
+    // The request never left: fail just this future (the reader owns the
+    // shared-fate decision for replies already owed).  The entry may
+    // already be gone if fail_all raced us — then it was completed.
+    Impl::Pending orphan;
+    bool mine = false;
     {
       const std::lock_guard<std::mutex> lk(im->mu);
-      if (im->dead) {
-        prom->set_exception(
-            std::make_exception_ptr(wire::WireError(im->dead_reason)));
-        return fut;
+      const auto it = im->pending.find(id);
+      if (it != im->pending.end()) {
+        orphan = std::move(it->second);
+        im->pending.erase(it);
+        mine = true;
       }
-      id = im->next_id++;
-      Impl::Pending p;
-      p.expected = expected_reply;
-      p.enqueued = Clock::now();
-      p.complete = [prom, decode](wire::FrameV2* frame,
-                                  std::exception_ptr ep) {
-        if (ep) {
-          prom->set_exception(ep);
-          return;
-        }
-        try {
-          prom->set_value(decode(frame->payload));
-        } catch (...) {
-          prom->set_exception(std::current_exception());
-        }
-      };
-      im->pending.emplace(id, std::move(p));
     }
-    try {
-      const std::lock_guard<std::mutex> lk(im->wmu);
-      wire::write_frame_v2(im->fd, request, id, payload);
-    } catch (const wire::WireError&) {
-      // The request never left: fail just this future (the reader owns
-      // the shared-fate decision for replies already owed).  The entry
-      // may already be gone if fail_all raced us — then it was completed.
-      Impl::Pending orphan;
-      bool mine = false;
-      {
-        const std::lock_guard<std::mutex> lk(im->mu);
-        const auto it = im->pending.find(id);
-        if (it != im->pending.end()) {
-          orphan = std::move(it->second);
-          im->pending.erase(it);
-          mine = true;
-        }
-      }
-      if (mine) orphan.complete(nullptr, std::current_exception());
-    }
-    return fut;
-  }
-
-  // v1 fallback: the strict blocking roundtrip, serialized so concurrent
-  // callers interleave whole request/reply pairs, never bytes.
-  const std::lock_guard<std::mutex> lk(im->wmu);
-  try {
-    wire::write_frame(im->fd, request, payload);
-    std::optional<wire::Frame> reply = wire::read_frame(im->fd);
-    if (!reply) throw wire::WireError("server closed the connection");
-    if (reply->type == wire::FrameType::Error) {
-      throw RemoteError(wire::decode_error(reply->payload));
-    }
-    if (reply->type != expected_reply) {
-      throw wire::WireError("unexpected reply frame type " +
-                            std::to_string(static_cast<int>(reply->type)));
-    }
-    prom->set_value(decode(reply->payload));
-  } catch (...) {
-    prom->set_exception(std::current_exception());
+    if (mine) orphan.complete(nullptr, std::current_exception());
   }
   return fut;
 }

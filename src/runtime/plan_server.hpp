@@ -19,11 +19,10 @@
 // Event-loop design (PR 8, replacing thread-per-connection): the loop
 // thread owns epoll, all nonblocking socket reads and writes, accept (with
 // EMFILE backoff folded into the epoll timeout), partial-frame reassembly
-// (wire::FrameBuffer), the per-connection token bucket, and the Hello
-// version negotiation — a version switch must land before the next
-// buffered byte is parsed, so it cannot be deferred to a handler.  Decoded
-// requests are dispatched onto `handler_threads` pool threads; a Run and
-// every RunBatch item reach the plan service's one dispatch, run_plan
+// (wire::FrameBuffer), the per-connection token bucket, and Ping —
+// answered inline with Pong, so a heartbeat proves the loop itself is
+// alive.  Every other decoded request is dispatched onto
+// `handler_threads` pool threads; a Run and every RunBatch item reach the plan service's one dispatch, run_plan
 // (runtime/plan_service.hpp), on the shared WorkerPool.  Handlers never
 // touch sockets: a finished reply is appended to the connection's write
 // queue and the loop is woken through an eventfd to flush it
@@ -31,11 +30,11 @@
 // So the thread count is O(handler pool), not O(connections).
 //
 // Per-connection state — registry, quota bucket, strikes, buffers — lives
-// in one Connection object guarded by its own mutex (v2 connections may
-// have several handlers in flight at once).  v1 connections are serialized
-// through a per-connection pending queue so their replies keep arriving in
-// request order, exactly as the blocking protocol promises; v2 requests
-// dispatch freely and reply out of order by request id.
+// in one Connection object guarded by its own mutex (a connection may have
+// several handlers in flight at once).  Requests dispatch as soon as they
+// are decoded and reply out of order, tagged with their request id — a
+// frame of a retired or unknown type gets an Error reply like any other
+// failed request.
 //
 // Backpressure: a connection whose write queue is above
 // `write_high_watermark`, or with `max_pipeline_depth` requests already
@@ -141,32 +140,6 @@ struct PlanServerOptions {
   int accept_backoff_max_ms = 1000;
 };
 
-/// Everything the Stats frame reports (runtime/wire.hpp mirrors this).
-struct PlanServerStats {
-  PlanCache::Stats cache;
-  std::size_t pool_workers = 0;
-  std::uint64_t pool_gangs = 0;
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_active = 0;
-  std::uint64_t programs_registered = 0;
-  std::uint64_t runs_executed = 0;
-  std::uint64_t frame_quota_trips = 0;
-  std::uint64_t registry_quota_trips = 0;
-  std::uint64_t quota_disconnects = 0;
-  std::uint64_t accept_backoffs = 0;
-  /// Runs served native vs interpreted *while JIT was live* (both stay 0
-  /// with --jit=off or an unusable toolchain; cache.jit_* carries the
-  /// compile-side counters).
-  std::uint64_t jit_native_runs = 0;
-  std::uint64_t jit_interpreted_runs = 0;
-  /// Runs that had a published kernel but went interpreted anyway — the
-  /// request's shape (a nonzero work_per_cycle) fell outside what the
-  /// kernel implements.  The counter that answers "why isn't my warm
-  /// traffic native?".  (Every native run executes on the shared pool, so
-  /// the Stats frame's jit_pooled_runs equals jit_native_runs.)
-  std::uint64_t jit_ineligible_runs = 0;
-};
-
 class PlanServer {
  public:
   explicit PlanServer(PlanServerOptions opts);
@@ -205,7 +178,8 @@ class PlanServer {
   [[nodiscard]] std::uint16_t tcp_port() const;
   [[nodiscard]] bool running() const;
 
-  [[nodiscard]] PlanServerStats stats() const;
+  /// Everything the Stats frame reports, read live.
+  [[nodiscard]] wire::StatsReply stats() const;
 
   /// The shared halves, exposed for in-process tests and benches.
   [[nodiscard]] PlanCache& cache() { return cache_; }
@@ -227,7 +201,7 @@ class PlanServer {
   /// One decoded request bound for (or inside) the handler pool.
   struct Task {
     std::shared_ptr<Connection> conn;
-    wire::FrameV2 frame;
+    wire::Frame frame;
     /// The loop already tripped the frame-rate quota for this frame: the
     /// handler answers with the quota Error and counts the strike.
     bool struck = false;
@@ -238,7 +212,7 @@ class PlanServer {
   void begin_drain();
   void handle_accept(Listener* listener);
   void handle_readable(const std::shared_ptr<Connection>& conn);
-  void on_frame(const std::shared_ptr<Connection>& conn, wire::FrameV2 frame);
+  void on_frame(const std::shared_ptr<Connection>& conn, wire::Frame frame);
   void flush_locked(Connection& c);
   /// Recompute read backpressure (write-queue watermarks + pipeline
   /// depth, with hysteresis); returns the new paused state.

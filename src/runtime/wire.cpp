@@ -427,39 +427,6 @@ std::string decode_error(const std::vector<std::uint8_t>& payload) {
   return s;
 }
 
-std::vector<std::uint8_t> encode_hello(const HelloRequest& m) {
-  Encoder e;
-  e.u32(m.min_version);
-  e.u32(m.max_version);
-  return e.take();
-}
-
-HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  HelloRequest m;
-  m.min_version = d.u32();
-  m.max_version = d.u32();
-  if (m.min_version == 0 || m.min_version > m.max_version) {
-    throw WireError("invalid hello version range");
-  }
-  d.expect_done();
-  return m;
-}
-
-std::vector<std::uint8_t> encode_hello_reply(std::uint32_t version) {
-  Encoder e;
-  e.u32(version);
-  return e.take();
-}
-
-std::uint32_t decode_hello_reply(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  const std::uint32_t version = d.u32();
-  if (version == 0) throw WireError("invalid hello reply version");
-  d.expect_done();
-  return version;
-}
-
 std::vector<std::uint8_t> encode_drop_program(std::uint64_t program_id) {
   Encoder e;
   e.u64(program_id);
@@ -700,82 +667,54 @@ bool recv_all(int fd, std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-}  // namespace
-
-void write_frame(int fd, FrameType type,
-                 const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  std::uint8_t header[5];
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  header[0] = static_cast<std::uint8_t>(len);
-  header[1] = static_cast<std::uint8_t>(len >> 8);
-  header[2] = static_cast<std::uint8_t>(len >> 16);
-  header[3] = static_cast<std::uint8_t>(len >> 24);
-  header[4] = static_cast<std::uint8_t>(type);
-  send_all(fd, header, sizeof(header));
-  if (!payload.empty()) send_all(fd, payload.data(), payload.size());
-}
-
-std::optional<Frame> read_frame(int fd) {
-  std::uint8_t header[5];
-  if (!recv_all(fd, header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = static_cast<std::uint32_t>(header[0]) |
-                            static_cast<std::uint32_t>(header[1]) << 8 |
-                            static_cast<std::uint32_t>(header[2]) << 16 |
-                            static_cast<std::uint32_t>(header[3]) << 24;
-  if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  Frame f;
-  f.type = static_cast<FrameType>(header[4]);
-  f.payload.resize(len);
-  if (len > 0 && !recv_all(fd, f.payload.data(), len)) {
-    throw WireError("connection closed mid-frame");
-  }
-  return f;
-}
-
-namespace {
-
-/// Little-endian header assembly shared by the fd writers and the
-/// write-queue encoder — one place defines the byte layout per version.
-void put_header(std::uint8_t* out, std::uint32_t version, FrameType type,
-                std::uint64_t request_id, std::uint32_t len) {
+/// Little-endian header assembly shared by the fd writer and the
+/// write-queue encoder — one place defines the byte layout.
+void put_header(std::uint8_t* out, FrameType type, std::uint64_t request_id,
+                std::uint32_t len) {
   out[0] = static_cast<std::uint8_t>(len);
   out[1] = static_cast<std::uint8_t>(len >> 8);
   out[2] = static_cast<std::uint8_t>(len >> 16);
   out[3] = static_cast<std::uint8_t>(len >> 24);
   out[4] = static_cast<std::uint8_t>(type);
-  if (version >= kProtocolV2) {
-    for (int i = 0; i < 8; ++i) {
-      out[5 + i] = static_cast<std::uint8_t>(request_id >> (8 * i));
-    }
+  for (int i = 0; i < 8; ++i) {
+    out[5 + i] = static_cast<std::uint8_t>(request_id >> (8 * i));
   }
+}
+
+/// Parse a kHeaderBytes header into `f` (type, request id) and return the
+/// payload length; throws on an oversize length prefix.  Shared by the fd
+/// reader and FrameBuffer.
+std::uint32_t parse_header(const std::uint8_t* h, Frame& f) {
+  const std::uint32_t len = static_cast<std::uint32_t>(h[0]) |
+                            static_cast<std::uint32_t>(h[1]) << 8 |
+                            static_cast<std::uint32_t>(h[2]) << 16 |
+                            static_cast<std::uint32_t>(h[3]) << 24;
+  if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
+  f.type = static_cast<FrameType>(h[4]);
+  f.request_id = 0;
+  for (int i = 0; i < 8; ++i) {
+    f.request_id |= static_cast<std::uint64_t>(h[5 + i]) << (8 * i);
+  }
+  return len;
 }
 
 }  // namespace
 
-void write_frame_v2(int fd, FrameType type, std::uint64_t request_id,
-                    const std::vector<std::uint8_t>& payload) {
+void write_frame(int fd, FrameType type, std::uint64_t request_id,
+                 const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  std::uint8_t header[kHeaderBytesV2];
-  put_header(header, kProtocolV2, type, request_id,
+  std::uint8_t header[kHeaderBytes];
+  put_header(header, type, request_id,
              static_cast<std::uint32_t>(payload.size()));
   send_all(fd, header, sizeof(header));
   if (!payload.empty()) send_all(fd, payload.data(), payload.size());
 }
 
-std::optional<FrameV2> read_frame_v2(int fd) {
-  std::uint8_t header[kHeaderBytesV2];
+std::optional<Frame> read_frame(int fd) {
+  std::uint8_t header[kHeaderBytes];
   if (!recv_all(fd, header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = static_cast<std::uint32_t>(header[0]) |
-                            static_cast<std::uint32_t>(header[1]) << 8 |
-                            static_cast<std::uint32_t>(header[2]) << 16 |
-                            static_cast<std::uint32_t>(header[3]) << 24;
-  if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  FrameV2 f;
-  f.type = static_cast<FrameType>(header[4]);
-  for (int i = 0; i < 8; ++i) {
-    f.request_id |= static_cast<std::uint64_t>(header[5 + i]) << (8 * i);
-  }
+  Frame f;
+  const std::uint32_t len = parse_header(header, f);
   f.payload.resize(len);
   if (len > 0 && !recv_all(fd, f.payload.data(), len)) {
     throw WireError("connection closed mid-frame");
@@ -784,15 +723,13 @@ std::optional<FrameV2> read_frame_v2(int fd) {
 }
 
 std::vector<std::uint8_t> encode_frame_bytes(
-    std::uint32_t version, FrameType type, std::uint64_t request_id,
+    FrameType type, std::uint64_t request_id,
     const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  const std::size_t header_bytes =
-      version >= kProtocolV2 ? kHeaderBytesV2 : kHeaderBytesV1;
-  std::vector<std::uint8_t> out(header_bytes + payload.size());
-  put_header(out.data(), version, type, request_id,
+  std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
+  put_header(out.data(), type, request_id,
              static_cast<std::uint32_t>(payload.size()));
-  std::copy(payload.begin(), payload.end(), out.begin() + header_bytes);
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
   return out;
 }
 
@@ -807,26 +744,14 @@ void FrameBuffer::append(const std::uint8_t* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
-std::optional<FrameV2> FrameBuffer::next() {
-  const std::size_t header_bytes =
-      version_ >= kProtocolV2 ? kHeaderBytesV2 : kHeaderBytesV1;
-  if (buffered() < header_bytes) return std::nullopt;
+std::optional<Frame> FrameBuffer::next() {
+  if (buffered() < kHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buf_.data() + pos_;
-  const std::uint32_t len = static_cast<std::uint32_t>(h[0]) |
-                            static_cast<std::uint32_t>(h[1]) << 8 |
-                            static_cast<std::uint32_t>(h[2]) << 16 |
-                            static_cast<std::uint32_t>(h[3]) << 24;
-  if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  if (buffered() < header_bytes + len) return std::nullopt;
-  FrameV2 f;
-  f.type = static_cast<FrameType>(h[4]);
-  if (version_ >= kProtocolV2) {
-    for (int i = 0; i < 8; ++i) {
-      f.request_id |= static_cast<std::uint64_t>(h[5 + i]) << (8 * i);
-    }
-  }
-  f.payload.assign(h + header_bytes, h + header_bytes + len);
-  pos_ += header_bytes + len;
+  Frame f;
+  const std::uint32_t len = parse_header(h, f);
+  if (buffered() < kHeaderBytes + len) return std::nullopt;
+  f.payload.assign(h + kHeaderBytes, h + kHeaderBytes + len);
+  pos_ += kHeaderBytes + len;
   return f;
 }
 

@@ -4,20 +4,27 @@
 // the in-process plan service already consumes (PartitionedProgram, Ddg,
 // CompileOptions) and produces (ExecutionResult, PlanCache::Stats).
 //
-// Framing: every frame is
+// Framing: every frame, from the first byte of every connection, is
 //
-//     u32  payload length (little-endian, excludes the 5-byte header)
+//     u32  payload length (little-endian, excludes the 13-byte header)
 //     u8   FrameType
+//     u64  request id (little-endian)
 //     ...  payload (message-specific, see the encode_/decode_ pairs)
 //
 // so a reader always knows how many bytes to consume before it interprets
 // anything — a malformed payload can fail to *decode* but can never
-// desynchronize the stream.  Integers are fixed-width little-endian,
-// assembled bytewise (no aliasing, no host-endianness leaks); doubles
-// travel as their IEEE-754 bit pattern in a u64, so a value survives the
-// round trip *bit-identically* — the differential suites compare daemon
-// results against in-process and sequential execution with ==, not with a
+// desynchronize the stream.  There is no negotiation: client and server
+// ship together, so the header above is the only framing either speaks.
+// Integers are fixed-width little-endian, assembled bytewise (no
+// aliasing, no host-endianness leaks); doubles travel as their IEEE-754
+// bit pattern in a u64, so a value survives the round trip
+// *bit-identically* — the differential suites compare daemon results
+// against in-process and sequential execution with ==, not with a
 // tolerance.
+//
+// Request ids: the client picks them (monotonic, per connection); the
+// server echoes a request's id on its reply — including Error replies —
+// so replies may arrive in ANY order and a reader demuxes them by id.
 //
 // Division of labor: this header is pure serialization + framed I/O over
 // an fd.  Connection lifecycle lives in plan_client.hpp / plan_server.hpp.
@@ -29,26 +36,9 @@
 //     Stats         -> StatsReply           cache/pool/server counters
 //     Shutdown      -> ShutdownReply        ack, then the server drains
 //     DropProgram   -> DropProgramReply     evict one registered id
-//     Hello         -> HelloReply           negotiate the protocol version
+//     Ping          -> Pong                 liveness probe, answered inline
 // Any request can instead yield Error (a human-readable message); the
 // connection stays usable afterwards.
-//
-// Protocol v2 (request-id multiplexing): a client that wants pipelining
-// opens with a Hello frame — sent in v1 framing, so a v1 server answers
-// it with an ordinary Error frame and the client falls back to blocking
-// v1.  A v2 server answers HelloReply{version=2} (still v1 framing) and
-// BOTH sides then switch to the v2 frame header
-//
-//     u32  payload length (little-endian, excludes the 13-byte header)
-//     u8   FrameType
-//     u64  request id (little-endian)
-//
-// for every subsequent frame on the connection.  The client picks request
-// ids (monotonic, per connection); the server echoes a request's id on
-// its reply — including Error replies — so replies may arrive in ANY
-// order and a reader demuxes them by id.  A client that never sends Hello
-// speaks v1 for the connection's lifetime; the server never speaks first,
-// so the first frame's type alone decides the mode.
 #pragma once
 
 #include <sys/un.h>
@@ -83,11 +73,12 @@ enum class FrameType : std::uint8_t {
   Stats = 4,
   Shutdown = 5,
   DropProgram = 6,
-  Hello = 8,
-  /// Liveness probe (v2 only): empty payload, answered inline with Pong
-  /// echoing the request id.  Lets an idle client detect a wedged server
-  /// without a real request in flight.  Exempt from the frame-rate
-  /// bucket, like Hello: heartbeats must not eat into a tenant's quota.
+  // Values 8 and 72 are retired (the former version handshake); a frame
+  // carrying either gets the server's unknown-type Error reply.
+  /// Liveness probe: empty payload, answered inline with Pong echoing the
+  /// request id.  Lets an idle client detect a wedged server without a
+  /// real request in flight.  Exempt from the frame-rate bucket:
+  /// heartbeats must not eat into a tenant's quota.
   Ping = 9,
   // Replies (server -> client): request type + 64.
   SubmitProgramReply = 65,
@@ -96,33 +87,20 @@ enum class FrameType : std::uint8_t {
   StatsReply = 68,
   ShutdownReply = 69,
   DropProgramReply = 70,
-  HelloReply = 72,
   Pong = 73,
   Error = 127,
 };
 
+/// One parsed frame: its type, the request id its header carried, and
+/// the payload.
 struct Frame {
-  FrameType type = FrameType::Error;
-  std::vector<std::uint8_t> payload;
-};
-
-/// Protocol versions a Hello can negotiate.  v1 is the original strict
-/// request/reply framing (5-byte header, no request id); v2 adds the u64
-/// request id and out-of-order replies.
-inline constexpr std::uint32_t kProtocolV1 = 1;
-inline constexpr std::uint32_t kProtocolV2 = 2;
-
-/// Frame header sizes per negotiated version.
-inline constexpr std::size_t kHeaderBytesV1 = 5;
-inline constexpr std::size_t kHeaderBytesV2 = 13;
-
-/// A parsed frame plus its request id.  In v1 mode request_id is always 0
-/// (the field does not exist on the wire).
-struct FrameV2 {
   FrameType type = FrameType::Error;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> payload;
 };
+
+/// Frame header size: u32 length + u8 type + u64 request id.
+inline constexpr std::size_t kHeaderBytes = 13;
 
 /// Refuse frames larger than this (64 MiB): a corrupt length prefix must
 /// not become a multi-gigabyte allocation.
@@ -268,8 +246,9 @@ struct StatsReply {
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
   // jit_pooled_runs counts native runs served on the shared WorkerPool —
-  // every native run is, so it equals jit_native_runs (kept so readers of
-  // the positional layout stay in lockstep); jit_ineligible_runs counts
+  // every native run is, so PlanServer::stats() fills it from
+  // jit_native_runs (kept on the wire for readers of the positional
+  // layout); jit_ineligible_runs counts
   // runs that had a published kernel but still went interpreted (a
   // request shape the kernel does not implement).
   std::uint64_t jit_pooled_runs = 0;
@@ -312,22 +291,6 @@ struct StatsReply {
 [[nodiscard]] std::vector<std::uint8_t> encode_error(
     const std::string& message);
 [[nodiscard]] std::string decode_error(
-    const std::vector<std::uint8_t>& payload);
-
-/// Hello carries the client's supported version range; HelloReply carries
-/// the server's pick (the highest version both sides speak).
-struct HelloRequest {
-  std::uint32_t min_version = kProtocolV1;
-  std::uint32_t max_version = kProtocolV2;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_hello(const HelloRequest& m);
-[[nodiscard]] HelloRequest decode_hello(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_hello_reply(
-    std::uint32_t version);
-[[nodiscard]] std::uint32_t decode_hello_reply(
     const std::vector<std::uint8_t>& payload);
 
 /// DropProgram evicts one registered id from the connection's registry
@@ -373,9 +336,9 @@ struct Endpoint {
 /// Render back to the bare form parse_endpoint accepts round-trip.
 [[nodiscard]] std::string endpoint_to_string(const Endpoint& ep);
 
-/// Connect a stream socket to `ep` (TCP gets TCP_NODELAY — the protocol
-/// is strict request/reply, so Nagle would serialize every round trip
-/// behind a delayed ACK).  Returns the connected fd; throws WireError.
+/// Connect a stream socket to `ep` (TCP gets TCP_NODELAY — requests and
+/// replies are small frames, and Nagle would hold a depth-1 caller's
+/// every round trip behind a delayed ACK).  Returns the connected fd; throws WireError.
 [[nodiscard]] int connect_endpoint(const Endpoint& ep);
 
 /// Bind + listen on host:port (port 0 = kernel-assigned) with
@@ -391,9 +354,10 @@ struct Endpoint {
 /// PlanServer::start (bind) and PlanClient::connect share it.
 [[nodiscard]] sockaddr_un make_unix_addr(const std::string& path);
 
-/// Write one frame, handling partial writes and EINTR; MSG_NOSIGNAL keeps
-/// a dead peer an exception (WireError), not a SIGPIPE.
-void write_frame(int fd, FrameType type,
+/// Write one frame carrying `request_id`, handling partial writes and
+/// EINTR; MSG_NOSIGNAL keeps a dead peer an exception (WireError), not a
+/// SIGPIPE.
+void write_frame(int fd, FrameType type, std::uint64_t request_id,
                  const std::vector<std::uint8_t>& payload);
 
 /// Read one frame.  Returns nullopt on clean EOF *between* frames; throws
@@ -401,46 +365,29 @@ void write_frame(int fd, FrameType type,
 /// timeout (SO_RCVTIMEO), or any other I/O error.
 [[nodiscard]] std::optional<Frame> read_frame(int fd);
 
-/// Write one v2 frame (13-byte header carrying `request_id`).  Only valid
-/// after the Hello/HelloReply exchange switched the connection to v2.
-void write_frame_v2(int fd, FrameType type, std::uint64_t request_id,
-                    const std::vector<std::uint8_t>& payload);
-
-/// Read one v2 frame; EOF/error contract identical to read_frame.
-[[nodiscard]] std::optional<FrameV2> read_frame_v2(int fd);
-
 /// Serialize one frame — header and payload — into a contiguous byte
-/// blob, in the framing of `version`.  This is the write-queue form: the
-/// epoll server enqueues these and flushes them with nonblocking sends,
-/// so a frame must exist as bytes independent of any fd.  In v1 framing
-/// request_id is dropped (the header has no field for it).
+/// blob.  This is the write-queue form: the epoll server enqueues these
+/// and flushes them with nonblocking sends, so a frame must exist as
+/// bytes independent of any fd.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame_bytes(
-    std::uint32_t version, FrameType type, std::uint64_t request_id,
+    FrameType type, std::uint64_t request_id,
     const std::vector<std::uint8_t>& payload);
 
 /// Incremental frame reassembly for nonblocking reads: append whatever
 /// recv produced, then pop complete frames until next() returns nullopt
-/// (= a partial frame is buffered, feed more bytes).  Version switches
-/// (Hello negotiation) apply to frames parsed AFTER set_version — which
-/// is exactly why the server handles Hello inline in its event loop: the
-/// bytes behind the Hello in the same read must be parsed with the new
-/// header size.
+/// (= a partial frame is buffered, feed more bytes).
 ///
 /// Throws WireError from next() on an oversize length prefix; the caller
 /// drops the connection (a desynchronized stream cannot be resynced).
 class FrameBuffer {
  public:
-  void set_version(std::uint32_t v) { version_ = v; }
-  [[nodiscard]] std::uint32_t version() const { return version_; }
-
   void append(const std::uint8_t* data, std::size_t n);
-  [[nodiscard]] std::optional<FrameV2> next();
+  [[nodiscard]] std::optional<Frame> next();
 
   /// Bytes buffered but not yet returned as frames.
   [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
-  std::uint32_t version_ = kProtocolV1;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  ///< parse cursor; consumed prefix compacted lazily
 };

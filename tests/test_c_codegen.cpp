@@ -161,12 +161,25 @@ TEST(CCodegen, RollsTheSteadyStateIntoARealLoop) {
   const std::string src = emit_c_program(cp, g);
   EXPECT_NE(src.find("for (long long r = 0;"), std::string::npos);
   EXPECT_NE(src.find("steady state:"), std::string::npos);
-  // Rolled output is dramatically smaller than the unrolled one.
-  CEmitOptions flat_opts;
-  flat_opts.roll_steady_state = false;
-  const std::string flat = emit_c_program(cp, g, flat_opts);
+  // Compute op blocks open with "{ /*"; count them from the first PE
+  // function on (the channel runtime and the slot comments match nothing).
+  const auto compute_blocks = [](const std::string& text) {
+    std::size_t n = 0;
+    for (std::size_t p = text.find("{ /*", text.find("_main(void* arg)"));
+         p != std::string::npos; p = text.find("{ /*", p + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  // Unrolled, every compute op would be its own block; rolled output is
+  // dramatically smaller.
+  EXPECT_LT(compute_blocks(src), cp.count(CompiledOp::Kind::Compute) / 2);
+  // A trip count too short for three repetitions falls back to
+  // straight-line code: no loop, one block per compute op.
+  const CompiledProgram flat_cp = pattern_compiled(g, Machine{2, 2}, 2);
+  const std::string flat = emit_c_program(flat_cp, g);
   EXPECT_EQ(flat.find("for (long long r = 0;"), std::string::npos);
-  EXPECT_LT(src.size(), flat.size() / 2);
+  EXPECT_EQ(compute_blocks(flat), flat_cp.count(CompiledOp::Kind::Compute));
 }
 
 // Start-aligned rolling: detect_period used to end-align the repetitions

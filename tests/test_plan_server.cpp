@@ -9,12 +9,14 @@
 // must agree bit-for-bit.  Around it: concurrent clients proving
 // cross-connection plan-cache sharing through the Stats frame (M clients,
 // renamed copies, exactly one miss), graceful-shutdown draining, and
-// hostile-input handling (error frames, garbage bytes).
+// hostile-input handling (error frames, garbage bytes, hostile first
+// frames).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -24,6 +26,8 @@
 #include <filesystem>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -49,6 +53,24 @@ std::string temp_socket(const std::string& name) {
   std::string dir = ::testing::TempDir();
   if (dir.empty() || dir.back() != '/') dir += '/';
   return dir + name + ".sock";
+}
+
+/// A raw stream socket connected to `path`, with a 10 s receive timeout so
+/// a server that neither replies nor disconnects fails the test instead
+/// of hanging it.  Returns -1 on failure.
+int connect_raw(const std::string& path) {
+  const sockaddr_un addr = wire::make_unix_addr(path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 10;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// An in-process server bound to a per-test temp socket, torn down (and
@@ -321,7 +343,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   wire::SubmitProgramRequest sub;
   sub.program = gl.program;
   sub.graph = gl.graph;
-  wire::write_frame(fd, wire::FrameType::SubmitProgram,
+  wire::write_frame(fd, wire::FrameType::SubmitProgram, 1,
                     wire::encode_submit_program(sub));
   const auto sub_reply = wire::read_frame(fd);
   ASSERT_TRUE(sub_reply.has_value());
@@ -332,7 +354,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   wire::RunRequest run;
   run.program_id = id;
   run.opts.work_per_cycle = 5000;
-  wire::write_frame(fd, wire::FrameType::Run, wire::encode_run(run));
+  wire::write_frame(fd, wire::FrameType::Run, 2, wire::encode_run(run));
   // The run request is now queued (or executing) server-side.  Shut the
   // daemon down via the wire from a second connection...
   {
@@ -347,6 +369,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   const auto run_reply = wire::read_frame(fd);
   ASSERT_TRUE(run_reply.has_value());
   ASSERT_EQ(run_reply->type, wire::FrameType::RunReply);
+  EXPECT_EQ(run_reply->request_id, 2u);
   const ExecutionResult r = wire::decode_run_reply(run_reply->payload);
   EXPECT_TRUE(values_match(r, seq, gl.iterations));
   ::close(fd);
@@ -744,7 +767,7 @@ TEST(PlanServer, FrameRateQuotaStrikesOutRepeatOffenders) {
   EXPECT_THROW((void)flooder.run(id), wire::WireError);
 
   // In-process stats (no connection, no token spent): both counters.
-  const PlanServerStats stats = ts.server.stats();
+  const wire::StatsReply stats = ts.server.stats();
   EXPECT_EQ(stats.frame_quota_trips, 2u);
   EXPECT_EQ(stats.quota_disconnects, 1u);
 
@@ -821,7 +844,7 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
   wire::SubmitProgramRequest sub;
   sub.program = gl.program;
   sub.graph = gl.graph;
-  wire::write_frame(fd, wire::FrameType::SubmitProgram,
+  wire::write_frame(fd, wire::FrameType::SubmitProgram, 1,
                     wire::encode_submit_program(sub));
   const auto reply = wire::read_frame(fd);
   ASSERT_TRUE(reply.has_value());
@@ -830,7 +853,7 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
       wire::decode_submit_program_reply(reply->payload).program_id;
   wire::RunRequest run;
   run.program_id = id;
-  wire::write_frame(fd, wire::FrameType::Run, wire::encode_run(run));
+  wire::write_frame(fd, wire::FrameType::Run, 2, wire::encode_run(run));
   const auto run_reply = wire::read_frame(fd);
   ASSERT_TRUE(run_reply.has_value());
   ASSERT_EQ(run_reply->type, wire::FrameType::RunReply);
@@ -841,12 +864,12 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
   EXPECT_GE(ts.server.stats().accept_backoffs, 1u);
 }
 
-// Pipelined v2 traffic: a burst of async runs with wildly uneven costs,
+// Pipelined traffic: a burst of async runs with wildly uneven costs,
 // issued back-to-back on ONE connection.  The heavy request goes first,
 // so on the server's handler pool the light replies overtake it — every
 // future must still resolve to ITS OWN program's bit-exact result (the
-// demux-by-request-id property; in-order v1 would pass this vacuously,
-// overtaking replies make it a real test).
+// demux-by-request-id property; in-order replies would pass this
+// vacuously, overtaking replies make it a real test).
 TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
   TestServer ts("ps_pipeline");
   PlanClient client = PlanClient::connect(ts.server.socket_path());
@@ -861,7 +884,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     ids.push_back(
         client.submit_program(loops[s].program, loops[s].graph).program_id);
   }
-  EXPECT_EQ(client.protocol_version(), wire::kProtocolV2);
 
   std::vector<std::future<ExecutionResult>> futs;
   std::vector<std::size_t> which;
@@ -879,35 +901,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     EXPECT_TRUE(values_match(futs[k].get(), refs[i], loops[i].iterations))
         << "request " << k << " (" << loops[i].tag << ")";
   }
-}
-
-// pipeline=false skips Hello entirely: a live v1-client-vs-v2-server
-// compatibility check.  The server must keep speaking strict 5-byte-header
-// request/reply to this connection forever — while a v2 connection
-// pipelines against the same server.
-TEST(PlanServer, V1ClientInteroperatesWithTheV2Server) {
-  TestServer ts("ps_v1compat");
-  const GeneratedLoop gl = generate_loop(421);
-  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
-
-  PlanClient v1 = PlanClient::connect(ts.server.socket_path(), 0,
-                                      /*pipeline=*/false);
-  const std::uint64_t id = v1.submit_program(gl.program, gl.graph).program_id;
-  EXPECT_EQ(v1.protocol_version(), wire::kProtocolV1);
-  EXPECT_TRUE(values_match(v1.run(id), seq, gl.iterations));
-
-  // A v2 connection alongside it, same server, same cache.
-  PlanClient v2 = PlanClient::connect(ts.server.socket_path());
-  const Ddg renamed = renamed_copy(gl.graph, "v2_");
-  const std::uint64_t id2 =
-      v2.submit_program(gl.program, renamed).program_id;
-  EXPECT_EQ(v2.protocol_version(), wire::kProtocolV2);
-  EXPECT_TRUE(values_match(v2.run(id2), seq, gl.iterations));
-  // The async API still works on a v1 connection (resolved synchronously).
-  EXPECT_TRUE(values_match(v1.run_async(id).get(), seq, gl.iterations));
-
-  const wire::StatsReply stats = v2.stats();
-  EXPECT_EQ(stats.cache.misses, 1u);  // one structure, either framing
 }
 
 /// Threads in this process right now (/proc/self/task entries).
@@ -988,62 +981,122 @@ TEST(PlanServer, DropProgramFreesTheRegistrySlot) {
                            c.iterations));
 }
 
-// Ping/Pong heartbeat frames.  A negotiated v2 connection gets its Pong
-// inline from the event loop — no worker-pool round trip — echoing the
-// request id with an empty payload; the connection stays fully usable
-// afterwards.  A v1 connection never negotiated the frame, so Ping is an
-// ordinary unknown request answered with an Error frame, which is
-// exactly what keeps old peers unaffected by the heartbeat.
+// Ping/Pong heartbeat frames: the Pong comes inline from the event loop
+// — no worker-pool round trip — echoing the request id with an empty
+// payload; the connection stays fully usable afterwards.
 TEST(PlanServer, PingAnsweredInlineWithPongOnV2) {
-  TestServer ts("ps_ping_v2");
-  const sockaddr_un addr = wire::make_unix_addr(ts.server.socket_path());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  TestServer ts("ps_ping");
+  const int fd = connect_raw(ts.server.socket_path());
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  wire::write_frame(fd, wire::FrameType::Hello,
-                    wire::encode_hello(wire::HelloRequest{}));
-  const auto hello = wire::read_frame(fd);
-  ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, wire::FrameType::HelloReply);
-  ASSERT_EQ(wire::decode_hello_reply(hello->payload), wire::kProtocolV2);
 
-  wire::write_frame_v2(fd, wire::FrameType::Ping, 77, {});
-  const auto pong = wire::read_frame_v2(fd);
+  wire::write_frame(fd, wire::FrameType::Ping, 77, {});
+  const auto pong = wire::read_frame(fd);
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->type, wire::FrameType::Pong);
   EXPECT_EQ(pong->request_id, 77u);
   EXPECT_TRUE(pong->payload.empty());
 
   // Still a working connection: a Stats roundtrip succeeds after the Pong.
-  wire::write_frame_v2(fd, wire::FrameType::Stats, 78, {});
-  const auto stats = wire::read_frame_v2(fd);
+  wire::write_frame(fd, wire::FrameType::Stats, 78, {});
+  const auto stats = wire::read_frame(fd);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
   EXPECT_EQ(stats->request_id, 78u);
   ::close(fd);
 }
 
-TEST(PlanServer, PingOnAV1ConnectionIsAnOrdinaryTypedError) {
-  TestServer ts("ps_ping_v1");
-  const sockaddr_un addr = wire::make_unix_addr(ts.server.socket_path());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  // No Hello: the connection is locked to v1 by its first real frame.
-  wire::write_frame(fd, wire::FrameType::Ping, {});
-  const auto reply = wire::read_frame(fd);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, wire::FrameType::Error);
-  // The connection survives the refused frame.
-  wire::write_frame(fd, wire::FrameType::Stats, {});
-  const auto stats = wire::read_frame(fd);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
-  ::close(fd);
+/// Every frame the server sends on `fd` until it disconnects (EOF or
+/// reset).  A receive timeout — the server neither answered nor hung up
+/// — fails the calling test: that is a hang.
+std::vector<wire::Frame> frames_until_disconnect(int fd) {
+  std::vector<wire::Frame> got;
+  for (;;) {
+    try {
+      std::optional<wire::Frame> f = wire::read_frame(fd);
+      if (!f) return got;
+      got.push_back(std::move(*f));
+    } catch (const wire::WireError& e) {
+      EXPECT_EQ(std::string(e.what()).find("timed out"), std::string::npos)
+          << "server neither replied nor disconnected: " << e.what();
+      return got;
+    }
+  }
+}
+
+// The first frame on a connection is untrusted input like any other.
+// Three hostile openers, each on a fresh raw connection: a frame of the
+// retired Hello type (8), the 5-byte-header frame the retired framing
+// opened with, and seeded garbage.  Each must end in an Error frame or a
+// clean disconnect within a bounded wait — never a hang, never a crash —
+// and a client connected throughout keeps being served.
+TEST(PlanServer, HostileFirstFrameIsAnErrorOrADisconnectNeverAHang) {
+  TestServer ts("ps_hostile_first");
+  const GeneratedLoop gl = generate_loop(441);
+  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
+  PlanClient bystander = PlanClient::connect(ts.server.socket_path());
+  const std::uint64_t id =
+      bystander.submit_program(gl.program, gl.graph).program_id;
+
+  // Retired type 8 with the payload it used to carry: the handler's
+  // unknown-type Error frame, echoing the id, and the connection lives on.
+  {
+    const int fd = connect_raw(ts.server.socket_path());
+    ASSERT_GE(fd, 0);
+    const std::vector<std::uint8_t> hello_payload = {1, 0, 0, 0, 2, 0, 0, 0};
+    wire::write_frame(fd, static_cast<wire::FrameType>(8), 1, hello_payload);
+    const auto reply = wire::read_frame(fd);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, wire::FrameType::Error);
+    EXPECT_EQ(reply->request_id, 1u);
+    EXPECT_NE(wire::decode_error(reply->payload).find("frame type 8"),
+              std::string::npos);
+    wire::write_frame(fd, wire::FrameType::Stats, 2, {});
+    const auto stats = wire::read_frame(fd);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
+    EXPECT_EQ(stats->request_id, 2u);
+    ::close(fd);
+  }
+
+  // The old 5-byte-header opener, byte for byte (u32 len=8 | u8 type=8 |
+  // u32 min=1 | u32 max=2): 13 bytes that parse as a header announcing 8
+  // more payload bytes.  The server waits for them like any partial frame
+  // and sends nothing; once the peer gives up and half-closes, the server
+  // disconnects cleanly.
+  {
+    const int fd = connect_raw(ts.server.socket_path());
+    ASSERT_GE(fd, 0);
+    const std::uint8_t v1_hello[13] = {8, 0, 0, 0, 8, 1, 0, 0, 0, 2, 0, 0, 0};
+    ASSERT_EQ(::send(fd, v1_hello, sizeof(v1_hello), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(v1_hello)));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    EXPECT_TRUE(frames_until_disconnect(fd).empty());
+    ::close(fd);
+  }
+
+  // Seeded garbage: whatever it happens to frame gets answered (an
+  // oversize length prefix drops the connection outright); after the
+  // peer's half-close the server disconnects.  Any reply it sent is a
+  // well-formed frame, or read_frame would have thrown.
+  std::mt19937_64 rng(0x5EEDull);
+  for (int round = 0; round < 8; ++round) {
+    const int fd = connect_raw(ts.server.socket_path());
+    ASSERT_GE(fd, 0);
+    std::vector<std::uint8_t> junk(13 + rng() % 64);
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
+    ASSERT_EQ(::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(junk.size()));
+    (void)::shutdown(fd, SHUT_WR);
+    (void)frames_until_disconnect(fd);
+    ::close(fd);
+  }
+
+  // The bystander's connection, and a fresh one, are both still served.
+  EXPECT_TRUE(values_match(bystander.run(id), seq, gl.iterations));
+  PlanClient fresh = PlanClient::connect(ts.server.socket_path());
+  const std::uint64_t id2 =
+      fresh.submit_program(gl.program, gl.graph).program_id;
+  EXPECT_TRUE(values_match(fresh.run(id2), seq, gl.iterations));
 }
 
 }  // namespace

@@ -288,8 +288,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     // then fleet totals folded into the standard summary line.
     std::size_t pool_workers_total = 0, shards_alive = 0;
     std::uint64_t quota_trips = 0, quota_disconnects = 0, backoffs = 0;
-    std::uint64_t jit_native = 0, jit_pooled = 0, jit_interp = 0,
-                  jit_kernels = 0;
+    std::uint64_t jit_native = 0, jit_interp = 0, jit_kernels = 0;
     bool any_jit = false;
     std::ostringstream fleet;
     const std::vector<ShardStatsRow> rows = router.fleet_stats();
@@ -316,11 +315,9 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       if (st.jit_enabled != 0) {
         any_jit = true;
         jit_native += st.jit_native_runs;
-        jit_pooled += st.jit_pooled_runs;
         jit_interp += st.jit_interpreted_runs;
         jit_kernels += st.jit_compiles;
-        fleet << ", " << st.jit_native_runs << " jit-native runs ("
-              << st.jit_pooled_runs << " pooled)";
+        fleet << ", " << st.jit_native_runs << " jit-native runs";
       }
       fleet << "\n";
       cache_stats.hits += st.cache.hits;
@@ -341,8 +338,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     workers_note = std::to_string(pool_workers_total) + " fleet workers on " +
                    std::to_string(shards_alive) + " shard(s)";
     if (any_jit) {
-      jit_note = std::to_string(jit_native) + " native (" +
-                 std::to_string(jit_pooled) + " pooled) / " +
+      jit_note = std::to_string(jit_native) + " native / " +
                  std::to_string(jit_interp) +
                  " interpreted runs fleet-wide (" +
                  std::to_string(jit_kernels) + " kernel compiles)";
@@ -381,10 +377,8 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     }
   } else {
     PlanClient client = PlanClient::connect(connect);
-    // Pipelined submits (wire v2): every program goes out back-to-back
-    // and the daemon overlaps the compiles; the ids are gathered in
-    // order.  Against an older v1 daemon the futures resolve
-    // synchronously — the old one-roundtrip-per-program behavior.
+    // Pipelined submits: every program goes out back-to-back and the
+    // daemon overlaps the compiles; the ids are gathered in order.
     std::vector<std::future<wire::SubmitProgramReply>> subs;
     subs.reserve(jobs.size());
     for (const BatchJob& job : jobs) {
@@ -415,8 +409,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     workers_note = std::to_string(stats.pool_workers) +
                    " daemon workers via " + connect;
     if (stats.jit_enabled != 0) {
-      jit_note = std::to_string(stats.jit_native_runs) + " native (" +
-                 std::to_string(stats.jit_pooled_runs) + " pooled) / " +
+      jit_note = std::to_string(stats.jit_native_runs) + " native / " +
                  std::to_string(stats.jit_interpreted_runs) +
                  " interpreted runs daemon-wide (" +
                  std::to_string(stats.jit_compiles) + " kernel compiles)";
@@ -662,8 +655,7 @@ int main(int argc, char** argv) {
         // native.
         const wire::StatsReply stats = client.stats();
         if (stats.jit_enabled != 0) {
-          std::cout << "jit      : " << stats.jit_native_runs << " native ("
-                    << stats.jit_pooled_runs << " pooled) / "
+          std::cout << "jit      : " << stats.jit_native_runs << " native / "
                     << stats.jit_interpreted_runs
                     << " interpreted runs daemon-wide ("
                     << stats.jit_ineligible_runs << " ineligible, "
