@@ -238,11 +238,6 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
           << "]); /* " << g.node(op.node).name << "[" << iter_expr
           << "]" << note << " */\n";
       break;
-    case CompiledOp::Kind::Receive:
-      out << "  s[" << op.slot << "] = chan_recv(&chans[" << op.chan
-          << "]); /* " << g.node(op.node).name << "[" << iter_expr << "]"
-          << note << " */\n";
-      break;
   }
 }
 

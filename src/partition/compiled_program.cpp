@@ -1,8 +1,10 @@
 #include "partition/compiled_program.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <tuple>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,175 +14,254 @@ namespace mimd {
 
 namespace {
 
-using ChanKey = std::tuple<EdgeId, int, int>;  // edge, src proc, dst proc
+/// A channel's identity: (edge, src proc, dst proc).
+struct ChanKey {
+  EdgeId edge;
+  int src;
+  int dst;
+  friend auto operator<=>(const ChanKey&, const ChanKey&) = default;
+};
 
-/// Dense channel ids, assigned in Send first-appearance order (processor
-/// order, then program order) so compilation is deterministic.
-struct ChannelTable {
-  std::map<ChanKey, ChannelId> ids;
-  std::vector<ChannelDesc> descs;
+/// A received value as its consumer asks for it: (edge, producing
+/// instance).
+struct RecvKey {
+  EdgeId edge;
+  Inst value;
+  friend bool operator==(const RecvKey&, const RecvKey&) = default;
+};
 
-  [[nodiscard]] ChannelId at(EdgeId e, int src, int dst) const {
-    const auto it = ids.find({e, src, dst});
-    MIMD_ENSURES(it != ids.end());
+struct RecvKeyHash {
+  std::size_t operator()(const RecvKey& k) const noexcept {
+    return InstHash{}(k.value) ^ (k.edge * 0x9E3779B97F4A7C15ULL);
+  }
+};
+
+/// Where a computed instance lives: the compiling thread and its SSA slot.
+struct Home {
+  std::size_t thread;
+  SlotId slot;
+};
+
+constexpr ChannelId kNoChannel = static_cast<ChannelId>(-1);
+
+[[noreturn]] void reject(const std::string& msg) {
+  detail::contract_fail("compiled lowering", msg.c_str());
+}
+
+/// One channel's traffic as the walk sees it.
+struct Traffic {
+  ChanKey key;
+  ChannelId final_id = kNoChannel;  ///< dense id, assigned at the first Send
+  std::vector<Inst> sent;           ///< send order
+  std::vector<Inst> received;       ///< receive order
+  /// received[consumed] is the oldest pending receive.
+  std::size_t consumed = 0;
+};
+
+/// Everything one compile_program walk accumulates.  Channels get a
+/// provisional id at first appearance (send or receive) and their final,
+/// dense ChannelId at their first Send — processor order, then program
+/// order, exactly the order the walk visits sends in.
+struct Walk {
+  explicit Walk(const Ddg& graph) : g(graph) {}
+
+  const Ddg& g;
+  std::map<ChanKey, ChannelId> chan_ids;
+  std::vector<Traffic> traffic;  ///< by provisional id
+  std::unordered_map<Inst, Home, InstHash> computed;
+  std::vector<ChannelDesc> channels;  ///< by final id
+  std::int64_t computes = 0;
+
+  /// Per thread: the channels into this PE, and each one's oldest pending
+  /// receive keyed by what a consumer asks for.  Two channels can only
+  /// share a head if two PEs computed the same instance, which the walk
+  /// rejects anyway, so a colliding head is simply not indexed.
+  std::vector<ChannelId> inbound;
+  std::unordered_map<RecvKey, ChannelId, RecvKeyHash> heads;
+
+  [[nodiscard]] std::string name(const Inst& i) const {
+    return (i.node < g.num_nodes() ? g.node(i.node).name
+                                   : "#" + std::to_string(i.node)) +
+           "@" + std::to_string(i.iter);
+  }
+
+  ChannelId channel(EdgeId edge, int src, int dst) {
+    const auto [it, fresh] = chan_ids.try_emplace(
+        ChanKey{edge, src, dst}, static_cast<ChannelId>(traffic.size()));
+    if (fresh) traffic.emplace_back().key = it->first;
     return it->second;
   }
-};
 
-ChannelTable build_channel_table(const PartitionedProgram& prog) {
-  ChannelTable t;
-  for (const ProcessorProgram& p : prog.programs) {
+  /// Index channel c's oldest pending receive, if it has one.
+  void index_head(ChannelId c) {
+    const Traffic& t = traffic[c];
+    if (t.consumed < t.received.size()) {
+      heads.try_emplace(RecvKey{t.key.edge, t.received[t.consumed]}, c);
+    }
+  }
+
+  /// Resolve in-edge `eid` of Compute `op` on thread `ti`: an initial
+  /// value, a local slot, or the oldest pending receive on a channel into
+  /// this PE.
+  OperandRef operand(const ProcessorProgram& p, std::size_t ti,
+                     const Inst& op, EdgeId eid) {
+    const Edge& e = g.edge(eid);
+    const Inst src{e.src, op.iter - e.distance};
+    OperandRef ref;
+    if (src.iter < 0) {
+      ref.kind = OperandRef::Kind::InitialValue;
+      ref.initial = initial_value(e.src);
+      return ref;
+    }
+    if (const auto it = computed.find(src);
+        it != computed.end() && it->second.thread == ti) {
+      ref.kind = OperandRef::Kind::LocalSlot;
+      ref.index = it->second.slot;
+      return ref;
+    }
+    if (const auto h = heads.find(RecvKey{eid, src}); h != heads.end()) {
+      const ChannelId c = h->second;
+      heads.erase(h);
+      ++traffic[c].consumed;
+      index_head(c);
+      ref.kind = OperandRef::Kind::ChannelRecv;
+      ref.index = c;  // provisional; finish() maps it to the final id
+      ref.iter = src.iter;
+      return ref;
+    }
+    for (const ChannelId c : inbound) {
+      const Traffic& t = traffic[c];
+      const auto pending =
+          t.received.begin() + static_cast<std::ptrdiff_t>(t.consumed);
+      if (t.key.edge == eid &&
+          std::find(pending, t.received.end(), src) != t.received.end()) {
+        reject("PE" + std::to_string(p.proc) + ": compute " + name(op) +
+               " consumes " + name(src) +
+               " out of channel order (FIFO: an older receive from PE" +
+               std::to_string(t.key.src) + " is still pending)");
+      }
+    }
+    reject("PE" + std::to_string(p.proc) + ": compute " + name(op) +
+           " before operand " + name(src) + " is available");
+  }
+
+  /// The one pass over processor program `ti`.
+  CompiledThread thread(const ProcessorProgram& p, std::size_t ti) {
+    if (p.proc != static_cast<int>(ti)) {
+      reject("program " + std::to_string(ti) + " claims PE" +
+             std::to_string(p.proc) + " (programs are indexed by PE)");
+    }
+    CompiledThread out;
+    out.proc = p.proc;
+    inbound.clear();
+    heads.clear();
     for (const Op& op : p.ops) {
-      if (op.kind != Op::Kind::Send) continue;
-      const auto [it, fresh] = t.ids.try_emplace(
-          ChanKey{op.edge, p.proc, op.peer},
-          static_cast<ChannelId>(t.descs.size()));
-      if (fresh) t.descs.push_back(ChannelDesc{op.edge, p.proc, op.peer, 0});
-      ++t.descs[it->second].messages;
-    }
-  }
-  return t;
-}
-
-/// A receive waiting to be fused into the Compute operand that consumes it.
-struct PendingRecv {
-  EdgeId edge;
-  NodeId node;
-  std::int64_t iter;
-  ChannelId chan;
-};
-
-/// Compile one processor program.  With `fuse`, receives become ChannelRecv
-/// operands of their consuming Compute; returns false when fusion cannot be
-/// proven order-safe, in which case the caller retries without fusion
-/// (standalone Receive ops into slots — always possible for a validated
-/// program).
-bool compile_thread(const ProcessorProgram& p, const Ddg& g,
-                    const ChannelTable& chans, bool fuse,
-                    CompiledThread& out) {
-  out = CompiledThread{};
-  out.proc = p.proc;
-  std::map<std::pair<NodeId, std::int64_t>, SlotId> provider;
-  std::vector<PendingRecv> pending;  // fuse mode only
-
-  for (const Op& op : p.ops) {
-    switch (op.kind) {
-      case Op::Kind::Compute: {
-        CompiledOp c;
-        c.kind = CompiledOp::Kind::Compute;
-        c.node = op.inst.node;
-        c.iter = op.inst.iter;
-        c.first_operand = static_cast<std::uint32_t>(out.operands.size());
-        for (const EdgeId eid : g.in_edges(op.inst.node)) {
-          const Edge& e = g.edge(eid);
-          const std::int64_t src_iter = op.inst.iter - e.distance;
-          OperandRef ref;
-          if (src_iter < 0) {
-            ref.kind = OperandRef::Kind::InitialValue;
-            ref.initial = initial_value(e.src);
-          } else if (auto it = provider.find({e.src, src_iter});
-                     it != provider.end()) {
-            ref.kind = OperandRef::Kind::LocalSlot;
-            ref.index = it->second;
-          } else if (fuse) {
-            // Consume the earliest pending receive carrying this value.
-            auto r = pending.begin();
-            for (; r != pending.end(); ++r) {
-              if (r->edge == eid && r->node == e.src && r->iter == src_iter)
-                break;
-            }
-            if (r == pending.end()) return false;  // value has no source
-            ref.kind = OperandRef::Kind::ChannelRecv;
-            ref.index = r->chan;
-            ref.iter = src_iter;
-            pending.erase(r);
-          } else {
-            // find_program_violation guarantees availability; in non-fused
-            // mode every receive materialized a slot.
-            MIMD_UNREACHABLE("validated operand has no local provider");
+      switch (op.kind) {
+        case Op::Kind::Compute: {
+          if (op.inst.iter < 0 ||
+              op.inst.iter == std::numeric_limits<std::int64_t>::max()) {
+            reject("PE" + std::to_string(p.proc) + ": compute " +
+                   name(op.inst) + " at an out-of-range iteration");
           }
-          out.operands.push_back(ref);
+          CompiledOp c;
+          c.kind = CompiledOp::Kind::Compute;
+          c.node = op.inst.node;
+          c.iter = op.inst.iter;
+          c.first_operand = static_cast<std::uint32_t>(out.operands.size());
+          for (const EdgeId eid : g.in_edges(op.inst.node)) {
+            out.operands.push_back(operand(p, ti, op.inst, eid));
+          }
+          c.num_operands = static_cast<std::uint32_t>(out.operands.size()) -
+                           c.first_operand;
+          c.slot = out.num_slots++;
+          const auto [it, fresh] =
+              computed.try_emplace(op.inst, Home{ti, c.slot});
+          if (!fresh) {
+            reject("PE" + std::to_string(p.proc) + ": compute " +
+                   name(op.inst) + " duplicates PE" +
+                   std::to_string(it->second.thread) +
+                   "'s (one writer per result entry)");
+          }
+          ++computes;
+          out.ops.push_back(c);
+          break;
         }
-        c.num_operands = static_cast<std::uint32_t>(out.operands.size()) -
-                         c.first_operand;
-        c.slot = out.num_slots++;
-        provider[{op.inst.node, op.inst.iter}] = c.slot;
-        out.ops.push_back(c);
-        break;
-      }
-      case Op::Kind::Send: {
-        const auto it = provider.find({op.inst.node, op.inst.iter});
-        // A send of a value that only exists as a pending fused receive
-        // (receive-then-forward) needs the value in a slot: retry unfused.
-        if (it == provider.end()) return false;
-        CompiledOp s;
-        s.kind = CompiledOp::Kind::Send;
-        s.node = op.inst.node;
-        s.iter = op.inst.iter;
-        s.slot = it->second;
-        s.chan = chans.at(op.edge, p.proc, op.peer);
-        out.ops.push_back(s);
-        break;
-      }
-      case Op::Kind::Receive: {
-        const ChannelId chan = chans.at(op.edge, op.peer, p.proc);
-        if (fuse) {
-          pending.push_back(
-              PendingRecv{op.edge, op.inst.node, op.inst.iter, chan});
-        } else {
-          CompiledOp r;
-          r.kind = CompiledOp::Kind::Receive;
-          r.node = op.inst.node;
-          r.iter = op.inst.iter;
-          r.chan = chan;
-          r.slot = out.num_slots++;
-          provider[{op.inst.node, op.inst.iter}] = r.slot;
-          out.ops.push_back(r);
+        case Op::Kind::Send: {
+          const auto it = computed.find(op.inst);
+          if (it == computed.end() || it->second.thread != ti) {
+            reject("PE" + std::to_string(p.proc) + ": send of " +
+                   name(op.inst) + " before it is computed on this PE");
+          }
+          Traffic& t = traffic[channel(op.edge, p.proc, op.peer)];
+          if (t.final_id == kNoChannel) {
+            t.final_id = static_cast<ChannelId>(channels.size());
+            channels.push_back(ChannelDesc{op.edge, p.proc, op.peer, 0});
+          }
+          ++channels[t.final_id].messages;
+          t.sent.push_back(op.inst);
+          out.ops.push_back(CompiledOp{CompiledOp::Kind::Send, op.inst.node,
+                                       op.inst.iter, it->second.slot,
+                                       t.final_id, 0, 0});
+          break;
         }
-        break;
+        case Op::Kind::Receive: {
+          const ChannelId c = channel(op.edge, op.peer, p.proc);
+          Traffic& t = traffic[c];
+          if (t.received.empty()) inbound.push_back(c);
+          t.received.push_back(op.inst);
+          if (t.consumed + 1 == t.received.size()) index_head(c);
+          break;
+        }
       }
     }
+    for (const ChannelId c : inbound) {
+      const Traffic& t = traffic[c];
+      if (t.consumed < t.received.size()) {
+        reject("PE" + std::to_string(p.proc) + ": receive of " +
+               name(t.received[t.consumed]) + " is never consumed");
+      }
+    }
+    return out;
   }
-  // A receive nothing consumes cannot be fused away: it must still pop its
-  // message or later tags on the channel would misalign.
-  return pending.empty();
-}
 
-/// Per-channel pop sequence (iteration tags) the compiled thread will
-/// execute, in execution order.
-std::map<ChannelId, std::vector<std::int64_t>> compiled_pop_sequences(
-    const CompiledThread& t) {
-  std::map<ChannelId, std::vector<std::int64_t>> seq;
-  for (const CompiledOp& op : t.ops) {
-    if (op.kind == CompiledOp::Kind::Receive) {
-      seq[op.chan].push_back(op.iter);
-    } else if (op.kind == CompiledOp::Kind::Compute) {
-      for (std::uint32_t i = 0; i < op.num_operands; ++i) {
-        const OperandRef& r = t.operands[op.first_operand + i];
+  /// The checks that need every thread: per-channel traffic, then
+  /// coverage of the iteration space.  Rewrites provisional ChannelRecv
+  /// indices to final channel ids.
+  void finish(CompiledProgram& cp) {
+    for (Traffic& t : traffic) {
+      if (t.sent == t.received) continue;
+      std::sort(t.sent.begin(), t.sent.end());
+      std::sort(t.received.begin(), t.received.end());
+      const bool reordered = t.sent == t.received;
+      reject("channel (edge " + std::to_string(t.key.edge) + ", PE" +
+             std::to_string(t.key.src) + " -> PE" +
+             std::to_string(t.key.dst) + ")" +
+             (reordered ? " violates FIFO order"
+                     : ": send/receive multisets differ (unmatched message)"));
+    }
+    // Every instance is computed at most once and at an iteration below
+    // cp.iterations, so the count alone proves full coverage.
+    const auto nodes = static_cast<std::int64_t>(g.num_nodes());
+    if (nodes > 0 &&
+        (computes % nodes != 0 || computes / nodes != cp.iterations)) {
+      reject("program computes " + std::to_string(computes) + " of the " +
+             std::to_string(nodes) + " x " + std::to_string(cp.iterations) +
+             " instances of its iteration space");
+    }
+    cp.channels = std::move(channels);
+    for (CompiledThread& t : cp.threads) {
+      for (OperandRef& r : t.operands) {
         if (r.kind == OperandRef::Kind::ChannelRecv) {
-          seq[r.index].push_back(r.iter);
+          r.index = traffic[r.index].final_id;
         }
       }
     }
   }
-  return seq;
-}
-
-/// Pop sequence the interpreted program performs (its Receive order).
-std::map<ChannelId, std::vector<std::int64_t>> interpreted_pop_sequences(
-    const ProcessorProgram& p, const ChannelTable& chans) {
-  std::map<ChannelId, std::vector<std::int64_t>> seq;
-  for (const Op& op : p.ops) {
-    if (op.kind == Op::Kind::Receive) {
-      seq[chans.at(op.edge, op.peer, p.proc)].push_back(op.inst.iter);
-    }
-  }
-  return seq;
-}
+};
 
 /// Liveness-based slot reassignment over one thread's straight-line op
-/// stream.  compile_thread assigned SSA slots (each compute/receive writes
-/// a fresh one); here every slot is returned to a free list at its last
+/// stream.  Walk::thread assigned SSA slots (each compute writes a fresh
+/// one); here every slot is returned to a free list at its last
 /// read, and writes draw from that list, so num_slots shrinks from one per
 /// value instance to the thread's maximum number of simultaneously live
 /// values.
@@ -189,7 +270,7 @@ std::map<ChannelId, std::vector<std::int64_t>> interpreted_pop_sequences(
 /// (both the executor and the generated C gather operands into locals
 /// first), so a slot whose last read is op i may be reused as op i's own
 /// destination.  A slot never read at all (a compute kept only for the
-/// result array, or a drain receive) is freed immediately after its write.
+/// result array) is freed immediately after its write.
 /// The free list is LIFO: the most recently dead slot is reused first,
 /// which keeps the working set cache-resident and the steady-state
 /// assignment periodic (so c_codegen's period detector still rolls it).
@@ -233,7 +314,7 @@ void reuse_slots(CompiledThread& t) {
     // this op's own write.
     for (const SlotId s : dies_at[i]) free_list.push_back(remap[s]);
     // The write draws from the free list.
-    if (op.kind != CompiledOp::Kind::Send) {
+    if (op.kind == CompiledOp::Kind::Compute) {
       SlotId ns;
       if (free_list.empty()) {
         ns = next++;
@@ -326,7 +407,6 @@ std::uint64_t structural_hash(const PartitionedProgram& prog,
       h.fold_signed(op.peer);
     }
   }
-  h.fold(static_cast<std::uint64_t>(opts.slots));
   h.fold(static_cast<std::uint64_t>(opts.opt));
   return h.state;
 }
@@ -354,32 +434,17 @@ std::size_t CompiledProgram::total_slots_ssa() const {
 }
 
 CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
-                                const CompileOptions& opts) {
-  if (const auto violation = find_program_violation(prog, g)) {
-    detail::contract_fail("compiled lowering", violation->c_str());
-  }
-
+                                const CompileOptions&) {
   CompiledProgram cp;
   cp.processors = prog.processors;
-  const ChannelTable chans = build_channel_table(prog);
-  cp.channels = chans.descs;
-
-  for (const ProcessorProgram& p : prog.programs) {
-    if (p.ops.empty()) continue;
-    CompiledThread t;
-    // Fused receives must preserve each channel's pop order; lowering's
-    // receive-immediately-before-consumer placement always does, but a
-    // hand-built program may not — verify, and fall back to standalone
-    // receives when fusion would reorder a channel.
-    const bool fused = compile_thread(p, g, chans, /*fuse=*/true, t) &&
-                       compiled_pop_sequences(t) ==
-                           interpreted_pop_sequences(p, chans);
-    if (!fused) {
-      const bool ok = compile_thread(p, g, chans, /*fuse=*/false, t);
-      MIMD_ENSURES(ok);
-    }
+  Walk w(g);
+  w.computed.reserve(prog.total_ops());
+  for (std::size_t i = 0; i < prog.programs.size(); ++i) {
+    const ProcessorProgram& p = prog.programs[i];
+    CompiledThread t = w.thread(p, i);
+    if (t.ops.empty()) continue;
     t.num_slots_ssa = t.num_slots;
-    if (opts.slots == SlotPolicy::Reuse) reuse_slots(t);
+    reuse_slots(t);
     for (const CompiledOp& op : t.ops) {
       if (op.kind == CompiledOp::Kind::Compute) {
         cp.iterations = std::max(cp.iterations, op.iter + 1);
@@ -387,6 +452,7 @@ CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
     }
     cp.threads.push_back(std::move(t));
   }
+  w.finish(cp);
   return cp;
 }
 

@@ -7,23 +7,24 @@
 // operand and every message.  Compilation replaces both:
 //
 //  * channels get a dense ChannelId (index into a flat channel table), in
-//    first-use order across the program;
-//  * every value a processor holds locally lives in a per-thread flat slot
+//    Send first-appearance order (processor order, then program order);
+//  * every value a processor computes lives in a per-thread flat slot
 //    array (one double per slot), and every Compute operand becomes an
 //    OperandRef — LocalSlot (read a slot), ChannelRecv (pop the next
 //    message from a channel, tag-checked), or InitialValue (a pre-loop
-//    constant baked in at compile time).
+//    constant baked in at compile time).  A Receive op never survives
+//    compilation: it becomes the ChannelRecv operand of its consumer.
 //
-// Slot assignment is first SSA-style (each compute/receive writes a fresh
-// slot), then — unless SlotPolicy::Ssa is requested for debugging — a
-// liveness pass reassigns slots with a free list so num_slots drops from
-// O(ops) to O(values simultaneously live): per-thread last-use analysis
-// over the straight-line op stream, each slot returned to the free list at
-// its last read (DESIGN.md, "Unified lowering and slot reuse").
+// Slot assignment is first SSA-style (each compute writes a fresh slot,
+// counted in num_slots_ssa), then a liveness pass reassigns slots with a
+// free list so num_slots drops from O(ops) to O(values simultaneously
+// live): per-thread last-use analysis over the straight-line op stream,
+// each slot returned to the free list at its last read (DESIGN.md,
+// "Unified lowering and slot reuse").
 //
-// `find_program_violation` remains the validator: compile_program() runs it
-// first and throws ContractViolation on any ill-formed input, so a program
-// that compiles is by construction race-free and FIFO-consistent.
+// compile_program() is also the program validator (see its rules below):
+// a program that compiles is race-free, FIFO-consistent and covers its
+// iteration space exactly once.
 #pragma once
 
 #include <cstdint>
@@ -61,15 +62,15 @@ struct OperandRef {
 };
 
 struct CompiledOp {
-  enum class Kind : std::uint8_t { Compute, Send, Receive };
+  enum class Kind : std::uint8_t { Compute, Send };
   Kind kind = Kind::Compute;
-  /// Compute: node computed.  Send/Receive: producing node (diagnostics).
+  /// Compute: node computed.  Send: producing node (diagnostics).
   NodeId node = kInvalidNode;
-  /// Compute: iteration executed.  Send/Receive: producing iteration (tag).
+  /// Compute: iteration executed.  Send: producing iteration (tag).
   std::int64_t iter = 0;
-  /// Compute: destination slot.  Send: source slot.  Receive: destination.
+  /// Compute: destination slot.  Send: source slot.
   SlotId slot = 0;
-  /// Send/Receive only.
+  /// Send only.
   ChannelId chan = 0;
   /// Compute only: range [first_operand, first_operand + num_operands) into
   /// CompiledThread::operands, in the graph's fixed in-edge order.
@@ -80,12 +81,11 @@ struct CompiledOp {
 /// The straight-line program one thread executes.
 struct CompiledThread {
   int proc = 0;
-  /// Size of this thread's slot array — after slot reuse (the default),
-  /// the number of simultaneously live values; under SlotPolicy::Ssa, one
-  /// slot per compute/receive.
+  /// Size of this thread's slot array: the number of simultaneously live
+  /// values after slot reuse.
   std::uint32_t num_slots = 0;
-  /// num_slots before the liveness pass ran (== num_slots under
-  /// SlotPolicy::Ssa) — kept so drivers can report the reduction.
+  /// num_slots before the liveness pass ran (one slot per compute) — kept
+  /// so drivers can report the reduction.
   std::uint32_t num_slots_ssa = 0;
   std::vector<CompiledOp> ops;
   std::vector<OperandRef> operands;  ///< flat pool referenced by Compute ops
@@ -107,16 +107,7 @@ struct CompiledProgram {
   [[nodiscard]] std::size_t total_slots_ssa() const;
 };
 
-/// How per-thread slot arrays are assigned.
-enum class SlotPolicy : std::uint8_t {
-  Reuse,  ///< liveness-based free-list reassignment (default)
-  Ssa,    ///< one fresh slot per value instance — debugging aid: every
-          ///< slot is written exactly once, so a stale read is visible
-};
-
 struct CompileOptions {
-  SlotPolicy slots = SlotPolicy::Reuse;
-
   /// Which mid-end pipeline produced the program being compiled
   /// (src/opt).  The compiler itself never branches on it — it exists
   /// so structural_hash separates optimized from unoptimized plans:
@@ -168,14 +159,25 @@ struct CompileOptions {
 /// alone is a probability, not a guarantee.
 [[nodiscard]] bool structurally_equivalent(const Ddg& a, const Ddg& b);
 
-/// Compile `prog` (validated against `g` with find_program_violation) into
-/// the slot-resolved form.  Throws ContractViolation — with the validator's
-/// message — if the program is ill-formed.
-///
-/// Receives are fused into their consuming Compute operand (ChannelRecv)
-/// whenever the fusion provably preserves the per-channel pop order; the
-/// rare unfusable receive (only reachable from hand-built programs) is kept
-/// as a standalone Receive op writing a slot.
+/// Check and compile `prog` against `g` in one walk per processor program.
+/// Throws ContractViolation naming the first violation of the lowered
+/// program shape (partition/lowering.hpp):
+///  * programs[i].proc != i;
+///  * a Compute at a negative (or INT64_MAX) iteration, or an instance
+///    computed twice anywhere in the program;
+///  * a Compute operand that is neither computed earlier on the same PE,
+///    a pre-loop initial value, nor the oldest pending receive on a
+///    channel into this PE ("before operand", or "out of channel order");
+///  * a Send of a value not computed earlier on the same PE (no
+///    receive-then-forward);
+///  * a Receive no Compute consumes;
+///  * a channel whose send sequence differs from its receive sequence
+///    ("unmatched message", or "violates FIFO order");
+///  * a program that does not compute every (node, iteration <
+///    iterations) instance exactly once.
+/// Each Receive becomes the ChannelRecv operand of the Compute that
+/// consumes it, so the compiled per-channel pop order is the program's
+/// receive order.
 CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
                                 const CompileOptions& opts = {});
 

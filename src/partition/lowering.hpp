@@ -9,6 +9,12 @@
 //    cross-processor consumer instance present in the schedule;
 //  * a Receive is inserted immediately before the consuming Compute, one
 //    per cross-processor operand.
+//
+// These rules are also the accepted program shape: compile_program
+// (partition/compiled_program.hpp) checks every program against them —
+// each value sent from the PE that computed it, each receive consumed by
+// one later Compute in channel order, each instance computed once — and
+// rejects anything else, including receive-then-forward.
 #pragma once
 
 #include "graph/ddg.hpp"

@@ -6,11 +6,14 @@
 // Communication is point-to-point and FIFO per channel, where a channel is
 // identified by (dependence edge, source processor, destination
 // processor).  A value is identified by its producing instance.
+//
+// Not every op sequence is a program: compile_program
+// (partition/compiled_program.hpp) accepts exactly the shape lower()
+// emits (partition/lowering.hpp) and rejects the rest with
+// ContractViolation.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/ddg.hpp"
@@ -51,14 +54,5 @@ struct PartitionedProgram {
   friend bool operator==(const PartitionedProgram&,
                          const PartitionedProgram&) = default;
 };
-
-/// Structural validation: every Send has exactly one matching Receive on
-/// the peer processor (same edge + producing instance) and vice versa;
-/// every Compute's cross-processor operand is preceded (in program order)
-/// by its Receive; channels are FIFO (per-channel send iteration order
-/// equals receive iteration order).  Returns a message for the first
-/// violation found, or nullopt if the program is well-formed.
-std::optional<std::string> find_program_violation(const PartitionedProgram& p,
-                                                  const Ddg& g);
 
 }  // namespace mimd

@@ -50,12 +50,6 @@ void execute(const CompiledProgram& cp, const Ddg& g,
         case CompiledOp::Kind::Send:
           chans[op.chan]->send({op.iter, slots[op.slot]});
           break;
-        case CompiledOp::Kind::Receive: {
-          const ChannelMessage m = chans[op.chan]->receive();
-          MIMD_ENSURES(m.iter == op.iter);  // FIFO tag check
-          slots[op.slot] = m.value;
-          break;
-        }
       }
     }
   };
@@ -94,8 +88,7 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
   for (const ChannelDesc& c : compiled_.channels) {
     // ring_capacity (runtime/transport.hpp) is the shared policy: the
     // generated-C backend sizes its emitted rings with the same call.
-    chans.push_back(std::make_unique<SpscChannel>(
-        ring_capacity(c.messages, opts.channel_capacity)));
+    chans.push_back(std::make_unique<SpscChannel>(ring_capacity(c.messages)));
   }
   const auto t0 = std::chrono::steady_clock::now();
   execute(compiled_, graph_, chans, opts, res);

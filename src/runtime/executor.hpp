@@ -58,17 +58,6 @@ struct RunOptions {
   /// silently a no-op where unsupported (affinity_supported()).  A
   /// placement hint only: results are bit-identical pinned or not.
   bool pin_threads = false;
-  /// 0 (default): size each ring to its exact message count, so sends
-  /// never block.  > 0: cap ring capacity at the next power of
-  /// two >= this value — bounded memory with spin-then-yield backpressure.
-  /// CAVEAT: a cap below a channel's in-flight high-water mark can
-  /// deadlock even a validator-approved program (a full channel's sender
-  /// circularly waiting on a consumer blocked elsewhere); after 30 s the
-  /// stalled ring aborts the process with a diagnostic (std::terminate —
-  /// the error fires on a worker thread whose blocked peers cannot be
-  /// unwound) rather than spin silently.  Intended for tests and
-  /// benchmarks that deliberately exercise backpressure.
-  std::int64_t channel_capacity = 0;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(google-explicit-constructor) — existing call sites pass
@@ -85,11 +74,12 @@ class ExecutorPlan {
 
   /// Execute for `n` iterations, which must equal program().iterations
   /// (ContractViolation otherwise, before any thread starts): a plan computes
-  /// exactly the iterations it was compiled for.  Mid-run channel violations
-  /// (FIFO tag mismatch — which a compiled program cannot trigger — or a
-  /// capped ring stalled 30 s) are fatal: they fire on a worker thread, where
-  /// the escaping exception is std::terminate with the violation message,
-  /// because a failed worker cannot unwind the peers blocked on its channels.
+  /// exactly the iterations it was compiled for.  Every ring is sized to its
+  /// channel's exact message count, so sends never block.  A mid-run FIFO
+  /// tag mismatch (which a compiled program cannot trigger) is fatal: it
+  /// fires on a worker thread, where the escaping exception is
+  /// std::terminate with the violation message, because a failed worker
+  /// cannot unwind the peers blocked on its channels.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -104,10 +94,9 @@ class ExecutorPlan {
   Ddg graph_;  ///< owned copy: a plan outlives its inputs
 };
 
-/// Validate (find_program_violation) and compile `prog` into a reusable
-/// plan.  Channel table, slot resolution (liveness-based reuse by default
-/// — CompileOptions::slots), and thread order are all fixed here,
-/// amortized across every subsequent run().
+/// Validate and compile `prog` (compile_program) into a reusable plan.
+/// Channel table, slot resolution (liveness-based reuse), and thread order
+/// are all fixed here, amortized across every subsequent run().
 [[nodiscard]] ExecutorPlan compile(const PartitionedProgram& prog,
                                    const Ddg& g,
                                    const CompileOptions& copts = {});

@@ -156,7 +156,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
 }  // namespace
 
 bool jit_run_eligible(const RunOptions& opts) {
-  return opts.kernel.work_per_cycle == 0 && opts.channel_capacity == 0;
+  return opts.kernel.work_per_cycle == 0;
 }
 
 #ifdef MIMD_JIT_DISABLED_REASON

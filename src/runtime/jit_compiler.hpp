@@ -120,7 +120,7 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
                                              const JitOptions& opts = {});
 
 /// True iff a native kernel computes exactly what plan.run(n, opts)
-/// would: default kernel (work_per_cycle 0) and uncapped channels.
+/// would: the default kernel (work_per_cycle 0).
 /// pin_threads does not disqualify a run — a kernel executes on the
 /// caller's pool, so the rotating CPU-slice pinning applies to native
 /// runs exactly as it does to interpreted ones.

@@ -78,10 +78,7 @@ RunOptions to_run_options(const wire::RemoteRunOptions& o) {
   RunOptions r;
   r.pin_threads = o.pin_threads;
   r.kernel.work_per_cycle = o.work_per_cycle;
-  // The pool is the server's, set by run_plan.  channel_capacity
-  // deliberately stays 0 (exact ring sizing): a remote cap could stall a
-  // daemon worker for 30 s and then abort the process (see
-  // RunOptions::channel_capacity).
+  // The pool is the server's, set by run_plan.
   return r;
 }
 

@@ -19,11 +19,12 @@
 // pipeline arrive within microseconds) with periodic yields so an
 // oversubscribed host — including the single-core CI runner — can schedule
 // the peer thread.  A send stalled >30 s on a full ring raises a fatal
-// diagnostic (only an undersized channel_capacity cap can produce that;
-// exact sizing never blocks senders) — fatal because it fires on a worker
-// thread, where an escaping exception is std::terminate: a loud abort
-// with the message in the terminate diagnostic, by design, since a dead
-// sender cannot unwind the peers blocked on its channels.
+// diagnostic (only a ring constructed smaller than its channel's traffic
+// can produce that; the executor's exact sizing never blocks senders) —
+// fatal because it fires on a worker thread, where an escaping exception
+// is std::terminate: a loud abort with the message in the terminate
+// diagnostic, by design, since a dead sender cannot unwind the peers
+// blocked on its channels.
 #pragma once
 
 #include <atomic>
@@ -59,10 +60,10 @@ class SpscChannel {
     mask_ = cap - 1;
   }
 
-  /// A full ring can only happen on artificially capped capacities
-  /// (RunOptions::channel_capacity) — exact sizing never blocks here.  An
-  /// undersized cap can deadlock a valid program (circular wait across
-  /// channels), so the wait loop gives up after ~30 s of no progress
+  /// A full ring can only happen when the ring was constructed smaller
+  /// than its traffic — exact sizing never blocks here.  An undersized
+  /// ring can deadlock a valid program (circular wait across channels),
+  /// so the wait loop gives up after ~30 s of no progress
   /// instead of spinning silently forever: MIMD_UNREACHABLE on this
   /// worker thread, which std::terminate's the process (see file header —
   /// deliberate, as peers cannot be unwound).
@@ -78,8 +79,7 @@ class SpscChannel {
                 std::chrono::seconds(30)) {
           MIMD_UNREACHABLE(
               "SpscChannel::send stalled 30s on a full ring — "
-              "channel_capacity is too small for this program "
-              "(see RunOptions::channel_capacity)");
+              "the ring is smaller than this program's traffic");
         }
         cached_tail_ = tail_.load(std::memory_order_acquire);
       }

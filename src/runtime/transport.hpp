@@ -7,9 +7,7 @@
 // Policy: a channel's ring holds its *exact* total message count
 // (ChannelDesc::messages), rounded up to a power of two so the cursors can
 // be masked — at that size a bounded sender can never block, so the
-// lock-free fast path is also wait-free for the whole run.  An optional
-// cap bounds memory instead, trading wait-freedom for spin-then-yield
-// backpressure (see RunOptions::channel_capacity for the deadlock caveat).
+// lock-free fast path is also wait-free for the whole run.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +26,10 @@ namespace mimd {
 }
 
 /// Capacity for a channel carrying `messages` values over the whole run:
-/// exact sizing (never blocks a sender), optionally capped at `cap` (> 0)
-/// for bounded memory, then rounded up to a power of two.
-[[nodiscard]] constexpr std::size_t ring_capacity(std::int64_t messages,
-                                                  std::int64_t cap = 0) {
-  std::int64_t want = messages < 1 ? 1 : messages;
-  if (cap > 0 && cap < want) want = cap;
-  return spsc_ring_capacity(static_cast<std::size_t>(want));
+/// exact sizing (never blocks a sender), rounded up to a power of two.
+[[nodiscard]] constexpr std::size_t ring_capacity(std::int64_t messages) {
+  return spsc_ring_capacity(
+      messages < 1 ? 1 : static_cast<std::size_t>(messages));
 }
 
 }  // namespace mimd

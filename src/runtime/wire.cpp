@@ -243,7 +243,6 @@ std::vector<std::uint8_t> encode_submit_program(const SubmitProgramRequest& m) {
   Encoder e;
   encode_program(e, m.program);
   encode_ddg(e, m.graph);
-  e.u8(static_cast<std::uint8_t>(m.copts.slots));
   e.u8(static_cast<std::uint8_t>(m.copts.opt));
   return e.take();
 }
@@ -254,11 +253,6 @@ SubmitProgramRequest decode_submit_program(
   SubmitProgramRequest m;
   m.program = decode_program(d);
   m.graph = decode_ddg(d);
-  const std::uint8_t slots = d.u8();
-  if (slots > static_cast<std::uint8_t>(SlotPolicy::Ssa)) {
-    throw WireError("invalid slot policy");
-  }
-  m.copts.slots = static_cast<SlotPolicy>(slots);
   const std::uint8_t opt = d.u8();
   if (opt > static_cast<std::uint8_t>(OptLevel::O1)) {
     throw WireError("invalid opt level");

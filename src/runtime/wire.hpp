@@ -191,9 +191,7 @@ struct SubmitProgramReply {
 };
 
 /// The remotely settable subset of RunOptions.  The pool is always the
-/// server's shared pool, and channel_capacity stays server-side at 0
-/// (exact ring sizing): a remote client must not be able to pick a cap
-/// that stalls a daemon worker (see RunOptions::channel_capacity).
+/// server's shared pool.
 struct RemoteRunOptions {
   bool pin_threads = false;
   int work_per_cycle = 0;

@@ -41,7 +41,7 @@ struct SimResult {
 
 /// Execute `prog` on the simulated machine.  Throws ContractViolation on
 /// deadlock (a receive whose message can never arrive), which a well-formed
-/// program (see find_program_violation) cannot produce.
+/// program (one compile_program accepts) cannot produce.
 SimResult simulate(const PartitionedProgram& prog, const Ddg& g,
                    const SimOptions& opts, Trace* trace = nullptr);
 

@@ -45,7 +45,7 @@ GeneratedLoop generate_loop(std::uint64_t seed, const LoopGenOptions& opts) {
     out.program = lower(full.schedule, out.graph);
   }
 
-  // Validate now (compile_program runs find_program_violation) and record
+  // Validate now (compile_program is the validator) and record
   // the compiled iteration count — the exact n every executor must cover.
   out.iterations = compile_program(out.program, out.graph).iterations;
 

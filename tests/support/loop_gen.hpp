@@ -12,7 +12,7 @@
 // daemon integration tests.
 //
 // The generator validates its own output: the program is compiled once
-// (compile_program runs find_program_violation) before it is returned, so
+// (compile_program is the validator) before it is returned, so
 // a generator bug surfaces as a loud ContractViolation at generation
 // time, never as a mysterious downstream mismatch.
 #pragma once

@@ -3,12 +3,17 @@
 // the removal of the mutex transport and now run the SPSC rings only.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <utility>
+
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "support/assert.hpp"
+#include "support/loop_gen.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -45,12 +50,10 @@ TEST(CompiledProgram, ResolvesChannelsDenselyAndFusesReceives) {
 
   EXPECT_EQ(cp.processors, p.processors);
   EXPECT_EQ(cp.iterations, 20);
-  // Every Compute survives; every Send keeps its channel; every Receive is
-  // fused into a ChannelRecv operand (lowering places receives immediately
-  // before their consumer, which is always fusable).
+  // Every Compute survives; every Send keeps its channel; every Receive
+  // becomes a ChannelRecv operand of its consumer (counted below).
   EXPECT_EQ(cp.count(CompiledOp::Kind::Compute), p.count(Op::Kind::Compute));
   EXPECT_EQ(cp.count(CompiledOp::Kind::Send), p.count(Op::Kind::Send));
-  EXPECT_EQ(cp.count(CompiledOp::Kind::Receive), 0u);
 
   // Dense channel table: one entry per distinct (edge, src, dst), message
   // counts summing to the program's sends.
@@ -88,8 +91,8 @@ TEST(CompiledProgram, SlotArraysAreDenseAndInBounds) {
       EXPECT_LT(op.slot, t.num_slots);
       ++writes;
     }
-    // Liveness reuse (the default): at most one slot per compute/receive,
-    // usually far fewer; num_slots_ssa records the pre-reuse count.
+    // Liveness reuse: at most one slot per compute, usually far fewer;
+    // num_slots_ssa records the pre-reuse count.
     EXPECT_LE(t.num_slots, writes);
     EXPECT_EQ(t.num_slots_ssa, writes);
     for (const OperandRef& ref : t.operands) {
@@ -97,22 +100,6 @@ TEST(CompiledProgram, SlotArraysAreDenseAndInBounds) {
         EXPECT_LT(ref.index, t.num_slots);
       }
     }
-  }
-}
-
-TEST(CompiledProgram, SsaPolicyKeepsOneSlotPerValueInstance) {
-  const Ddg g = workloads::cytron86_loop();
-  const FullSchedResult r = full_sched(g, Machine{8, 2}, 16);
-  CompileOptions opts;
-  opts.slots = SlotPolicy::Ssa;
-  const CompiledProgram cp = compile_program(lower(r.schedule, g), g, opts);
-  for (const CompiledThread& t : cp.threads) {
-    std::uint32_t writes = 0;
-    for (const CompiledOp& op : t.ops) {
-      if (op.kind != CompiledOp::Kind::Send) ++writes;
-    }
-    EXPECT_EQ(writes, t.num_slots);
-    EXPECT_EQ(t.num_slots, t.num_slots_ssa);
   }
 }
 
@@ -168,6 +155,193 @@ TEST(CompiledProgram, RejectsFifoInversion) {
   EXPECT_THROW((void)compile_program(p, g), ContractViolation);
 }
 
+// A -> B at distance 0: the smallest graph with a cross-PE operand.
+Ddg pair_graph() {
+  Ddg g;
+  g.add_node("A");
+  g.add_node("B");
+  g.add_edge(0u, 1u, 0);
+  return g;
+}
+
+PartitionedProgram empty_program(int procs) {
+  PartitionedProgram p;
+  p.processors = procs;
+  p.programs.resize(static_cast<std::size_t>(procs));
+  for (int i = 0; i < procs; ++i) {
+    p.programs[static_cast<std::size_t>(i)].proc = i;
+  }
+  return p;
+}
+
+Op compute(NodeId v, std::int64_t i) {
+  return Op{Op::Kind::Compute, Inst{v, i}, 0, -1};
+}
+Op send(NodeId v, std::int64_t i, int to) {
+  return Op{Op::Kind::Send, Inst{v, i}, 0, to};
+}
+Op receive(NodeId v, std::int64_t i, int from) {
+  return Op{Op::Kind::Receive, Inst{v, i}, 0, from};
+}
+
+/// compile_program's rejection message, or "" if it accepts `p`.
+std::string rejection(const PartitionedProgram& p, const Ddg& g) {
+  try {
+    (void)compile_program(p, g);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CompiledProgram, RejectsReceiveThenForward) {
+  // PE1 relays A@0 from PE0 to PE2 without computing it: a value is only
+  // ever sent by the PE that computed it.
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(3);
+  p.programs[0].ops = {compute(0, 0), send(0, 0, 1)};
+  p.programs[1].ops = {receive(0, 0, 0), send(0, 0, 2)};
+  p.programs[2].ops = {receive(0, 0, 1), compute(1, 0)};
+  EXPECT_NE(rejection(p, g).find("before it is computed"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsUnconsumedReceive) {
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(2);
+  p.programs[0].ops = {compute(0, 0), send(0, 0, 1), compute(1, 0)};
+  p.programs[1].ops = {receive(0, 0, 0)};
+  EXPECT_NE(rejection(p, g).find("never consumed"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsOutOfOrderConsumption) {
+  // Sends and receives agree on the channel order, but B@1 consumes A@1
+  // while the older A@0 is still pending.
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(2);
+  p.programs[0].ops = {compute(0, 0), send(0, 0, 1), compute(0, 1),
+                       send(0, 1, 1)};
+  p.programs[1].ops = {receive(0, 0, 0), receive(0, 1, 0), compute(1, 1),
+                       compute(1, 0)};
+  EXPECT_NE(rejection(p, g).find("out of channel order"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsNegativeIteration) {
+  // Every operand of A@-100000000 is a pre-loop initial value, so only the
+  // iteration check stands between this program and an out-of-bounds
+  // result write.
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(1);
+  p.programs[0].ops = {compute(0, -100000000)};
+  EXPECT_NE(rejection(p, g).find("out-of-range iteration"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsDuplicateCompute) {
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(2);
+  p.programs[0].ops = {compute(0, 0), compute(1, 0)};
+  p.programs[1].ops = {compute(0, 0)};
+  EXPECT_NE(rejection(p, g).find("duplicates"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsIncompleteIterationSpace) {
+  // A@0..2 and B@0, B@2: B@1 would be a silent zero in the result.
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(1);
+  p.programs[0].ops = {compute(0, 0), compute(1, 0), compute(0, 1),
+                       compute(0, 2), compute(1, 2)};
+  EXPECT_NE(rejection(p, g).find("instances"), std::string::npos)
+      << rejection(p, g);
+}
+
+TEST(CompiledProgram, RejectsProgramsNotIndexedByProcessor) {
+  const Ddg g = pair_graph();
+  PartitionedProgram p = empty_program(2);
+  p.programs[1].proc = 0;  // two threads claiming PE0 would share rings
+  p.programs[0].ops = {compute(0, 0)};
+  p.programs[1].ops = {compute(1, 0)};
+  EXPECT_NE(rejection(p, g).find("indexed by PE"), std::string::npos)
+      << rejection(p, g);
+}
+
+/// One random single-op mutation of `p`: shift an iteration, drop,
+/// duplicate or swap (with its successor) an op, or retarget a send or
+/// receive at another processor.  Swaps stay adjacent: lowering never puts
+/// a Send right before a Compute that waits on a channel, so an adjacent
+/// swap cannot build a cross-PE wait cycle — a deadlock compile_program's
+/// shape check does not detect.
+PartitionedProgram mutate(PartitionedProgram p, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (;;) {
+    ProcessorProgram& prog = p.programs[pick(p.programs.size())];
+    if (prog.ops.size() < 2) continue;
+    auto& ops = prog.ops;
+    const std::size_t i = pick(ops.size());
+    switch (pick(5)) {
+      case 0:
+        ops[i].inst.iter += pick(2) == 0 ? -1 : 1;
+        return p;
+      case 1:
+        ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i));
+        return p;
+      case 2: {
+        const Op dup = ops[i];
+        ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(i), dup);
+        return p;
+      }
+      case 3:
+        if (i + 1 == ops.size()) continue;
+        std::swap(ops[i], ops[i + 1]);
+        return p;
+      default:
+        if (ops[i].kind == Op::Kind::Compute) continue;
+        ops[i].peer = static_cast<int>(
+            (static_cast<std::size_t>(ops[i].peer) + 1 +
+             pick(static_cast<std::size_t>(p.processors))) %
+            static_cast<std::size_t>(p.processors + 1));
+        return p;
+    }
+  }
+}
+
+TEST(CompiledProgram, MutantsAreRejectedOrRunBitExact) {
+  // 200 single-op mutants of generated programs: each must be rejected
+  // with ContractViolation or run bit-identical to run_sequential —
+  // never crash, never race, never leave a result entry unwritten.
+  std::mt19937_64 rng(14);
+  int rejected = 0;
+  int accepted = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const testsupport::GeneratedLoop gl = testsupport::generate_loop(seed);
+    for (int m = 0; m < 20; ++m) {
+      const PartitionedProgram mutant = mutate(gl.program, rng);
+      ExecutorPlan plan;
+      try {
+        plan = compile(mutant, gl.graph);
+      } catch (const ContractViolation&) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      const std::int64_t n = plan.program().iterations;
+      SCOPED_TRACE(gl.tag + " mutant " + std::to_string(m));
+      expect_equal_values(plan.run(n), run_sequential(gl.graph, n), n);
+    }
+  }
+  RecordProperty("rejected", rejected);
+  RecordProperty("accepted", accepted);
+  // Both outcomes occur: most mutants break the shape, but swapping two
+  // independent ops (or two receives) is a legal reordering.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
+}
+
 // ---- Plan reuse and transport equivalence. ----
 
 TEST(ExecutorPlan, RepeatedRunsAreBitIdentical) {
@@ -197,15 +371,6 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
       compile(lower(materialize(*r.pattern, m.processors, n), g), g);
   // The mutex leg left with the mutex transport; the SPSC leg remains.
   expect_equal_values(plan.run(n), run_sequential(g, n), n);
-}
-
-TEST(ExecutorPlan, CappedRingsExerciseBackpressureAndStayCorrect) {
-  const Ddg g = workloads::fig7_loop();
-  const std::int64_t n = 60;
-  const ExecutorPlan plan = compile(fig7_program(g, n), g);
-  RunOptions opts;
-  opts.channel_capacity = 2;  // rings of 2 instead of exact message counts
-  expect_equal_values(plan.run(n, opts), run_sequential(g, n), n);
 }
 
 TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {

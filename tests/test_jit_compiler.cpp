@@ -235,9 +235,9 @@ TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   }
 }
 
-// The run-site gate: only a default-shaped run (no synthetic work,
-// default rings) may be served natively — those knobs change observable
-// behavior or timing semantics the kernel does not implement.  Pinning is
+// The run-site gate: only a default-shaped run (no synthetic work) may be
+// served natively — that knob changes observable behavior the kernel does
+// not implement.  Pinning is
 // not a shape question: the kernel runs on the caller's pool, so the
 // rotating CPU-slice policy applies to native runs exactly as to
 // interpreted ones.
@@ -248,9 +248,6 @@ TEST(JitCompiler, RunEligibilityGate) {
   EXPECT_TRUE(jit_run_eligible(o));
   o = RunOptions{};
   o.kernel.work_per_cycle = 8;
-  EXPECT_FALSE(jit_run_eligible(o));
-  o = RunOptions{};
-  o.channel_capacity = 4;
   EXPECT_FALSE(jit_run_eligible(o));
 }
 

@@ -1,15 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "baseline/doacross.hpp"
 #include "baseline/sequential.hpp"
+#include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
+#include "support/assert.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
 
 namespace mimd {
 namespace {
+
+/// compile_program is the program validator: its rejection message, or
+/// nullopt if it accepts `p`.
+std::optional<std::string> violation(const PartitionedProgram& p,
+                                     const Ddg& g) {
+  try {
+    (void)compile_program(p, g);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return std::nullopt;
+}
 
 PartitionedProgram fig7_program(std::int64_t n) {
   const Ddg g = workloads::fig7_loop();
@@ -40,21 +57,21 @@ TEST(Lowering, SendsMatchReceives) {
 TEST(Lowering, WellFormedForPatternSchedules) {
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = fig7_program(20);
-  EXPECT_EQ(find_program_violation(p, g), std::nullopt);
+  EXPECT_EQ(violation(p, g), std::nullopt);
 }
 
 TEST(Lowering, WellFormedForDoacrossSchedules) {
   const Ddg g = workloads::cytron86_loop();
   const DoacrossResult r = doacross(g, Machine{4, 2}, 12);
   const PartitionedProgram p = lower(r.schedule, g);
-  EXPECT_EQ(find_program_violation(p, g), std::nullopt);
+  EXPECT_EQ(violation(p, g), std::nullopt);
 }
 
 TEST(Lowering, WellFormedForFullSchedules) {
   const Ddg g = workloads::cytron86_loop();
   const FullSchedResult r = full_sched(g, Machine{8, 2}, 16);
   const PartitionedProgram p = lower(r.schedule, g);
-  EXPECT_EQ(find_program_violation(p, g), std::nullopt);
+  EXPECT_EQ(violation(p, g), std::nullopt);
 }
 
 TEST(Lowering, ProgramsOrderedByStartTimePerProcessor) {
@@ -83,7 +100,7 @@ TEST(ProgramViolation, DetectsComputeBeforeOperand) {
   p.programs[0].proc = 0;
   // B@0 computed without A@0 anywhere.
   p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{*g.find("B"), 0}, 0, -1});
-  const auto v = find_program_violation(p, g);
+  const auto v = violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("before operand"), std::string::npos);
 }
@@ -100,7 +117,7 @@ TEST(ProgramViolation, DetectsUnmatchedSend) {
   p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, 0}, 0, -1});
   p.programs[0].ops.push_back(Op{Op::Kind::Send, Inst{a, 0}, ab, 1});
   // PE1 never receives.
-  const auto v = find_program_violation(p, g);
+  const auto v = violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("unmatched"), std::string::npos);
 }
@@ -115,7 +132,7 @@ TEST(ProgramViolation, DetectsSendBeforeCompute) {
   const NodeId a = *g.find("A");
   const EdgeId ab = g.out_edges(a)[0];
   p.programs[0].ops.push_back(Op{Op::Kind::Send, Inst{a, 0}, ab, 1});
-  const auto v = find_program_violation(p, g);
+  const auto v = violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("before it is computed"), std::string::npos);
 }
@@ -142,7 +159,7 @@ TEST(ProgramViolation, DetectsFifoInversion) {
   s1.push_back(Op{Op::Kind::Compute, Inst{b, 1}, 0, -1});
   s1.push_back(Op{Op::Kind::Receive, Inst{a, 0}, e, 0});
   s1.push_back(Op{Op::Kind::Compute, Inst{b, 0}, 0, -1});
-  const auto v = find_program_violation(p, g);
+  const auto v = violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("FIFO"), std::string::npos);
 }
@@ -155,7 +172,7 @@ TEST(Lowering, RandomLoopProgramsAreWellFormed) {
     ASSERT_TRUE(r.pattern.has_value());
     const PartitionedProgram p =
         lower(materialize(*r.pattern, m.processors, 30), g);
-    EXPECT_EQ(find_program_violation(p, g), std::nullopt) << "seed " << seed;
+    EXPECT_EQ(violation(p, g), std::nullopt) << "seed " << seed;
   }
 }
 

@@ -397,6 +397,27 @@ TEST(PlanServer, ErrorFramesKeepTheConnectionUsable) {
   broken.programs[1].proc = 1;
   EXPECT_THROW((void)client.submit_program(broken, gl.graph), RemoteError);
 
+  // Programs that would crash or race the executor: a compute at a
+  // negative iteration (its result write would land out of bounds) and
+  // one instance computed on two PEs (two writers of one result entry).
+  // compile_program rejects both, so the submit answers with an Error.
+  Ddg lone;
+  lone.add_node("A");
+  PartitionedProgram negative;
+  negative.processors = 1;
+  negative.programs.resize(1);
+  negative.programs[0].ops.push_back(
+      Op{Op::Kind::Compute, Inst{0u, -100000000}, 0u, -1});
+  EXPECT_THROW((void)client.submit_program(negative, lone), RemoteError);
+  PartitionedProgram twice;
+  twice.processors = 2;
+  twice.programs.resize(2);
+  twice.programs[1].proc = 1;
+  for (ProcessorProgram& pp : twice.programs) {
+    pp.ops.push_back(Op{Op::Kind::Compute, Inst{0u, 0}, 0u, -1});
+  }
+  EXPECT_THROW((void)client.submit_program(twice, lone), RemoteError);
+
   // Iterations below the compiled count.
   const std::uint64_t id =
       client.submit_program(gl.program, gl.graph).program_id;

@@ -92,7 +92,6 @@ TEST(Wire, SubmitProgramRoundTrip) {
   wire::SubmitProgramRequest req;
   req.program = sample_program();
   req.graph = sample_graph();
-  req.copts.slots = SlotPolicy::Ssa;
   req.copts.opt = OptLevel::O1;
   const auto payload = wire::encode_submit_program(req);
   const wire::SubmitProgramRequest back = wire::decode_submit_program(payload);
@@ -244,7 +243,7 @@ TEST(Wire, HostileCountsAndEnumsAreRejected) {
     e.u32(0);
     e.i32(0);
     e.i32(-1);
-    e.u8(0);  // slot policy
+    e.u8(0);  // opt level
     EXPECT_THROW((void)wire::decode_submit_program(e.bytes()), WireError);
   }
   {

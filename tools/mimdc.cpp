@@ -51,11 +51,6 @@
 
 //     --no-check  with --c: skip the emitted sequential self-validation;
 //                 the artifact becomes a standalone timing benchmark
-//     --slots=<reuse|ssa>
-//                 slot assignment policy for --run and --c (default reuse;
-//                 ssa keeps one slot per value instance, for debugging;
-//                 implies --run when no execution or emission mode is
-//                 requested)
 //     --opt=<off|O1>
 //                 rewrite mid-end (src/opt) between parsing and
 //                 partitioning: O1 (the default) folds constants,
@@ -115,12 +110,10 @@ namespace {
   std::cerr << "usage: mimdc [-p N] [-k N] [-n N] [--fold] [--dot] "
                "[--schedule] [--code] [--c] [--no-check] [--compare] "
                "[--run] [--jit] [--pin] [--connect <endpoint>] "
-               "[--opt=<off|O1>] [--dump-passes] "
-               "[--slots=<reuse|ssa>] <file|->\n"
+               "[--opt=<off|O1>] [--dump-passes] <file|->\n"
                "       mimdc [-p N] [-k N] [-n N] [--fold] [--jit] [--pin] "
                "[--connect <endpoint> | --fleet <shards.txt>] "
-               "[--opt=<off|O1>] [--dump-passes] "
-               "[--slots=<reuse|ssa>] --batch <dir>\n";
+               "[--opt=<off|O1>] [--dump-passes] --batch <dir>\n";
   std::exit(2);
 }
 
@@ -453,7 +446,7 @@ int main(int argc, char** argv) {
   std::int64_t n = 64;
   bool fold = false, want_dot = false, want_sched = false, want_code = false,
        want_c = false, want_compare = false, want_run = false,
-       slots_given = false, pin = false, no_check = false, jit = false,
+       pin = false, no_check = false, jit = false,
        dump_passes = false;
   CompileOptions copts;
   copts.opt = OptLevel::O1;  // the mid-end is on by default; --opt=off
@@ -509,16 +502,6 @@ int main(int argc, char** argv) {
       const std::optional<OptLevel> level = parse_opt_level(a.substr(6));
       if (!level) usage("--opt must be off or O1");
       copts.opt = *level;
-    } else if (a.rfind("--slots=", 0) == 0) {
-      const std::string which = a.substr(8);
-      if (which == "reuse") {
-        copts.slots = SlotPolicy::Reuse;
-      } else if (which == "ssa") {
-        copts.slots = SlotPolicy::Ssa;
-      } else {
-        usage("--slots must be reuse or ssa");
-      }
-      slots_given = true;
     } else if (a == "--help" || a == "-h") {
       usage(nullptr);
     } else if (!a.empty() && a[0] == '-' && a != "-") {
@@ -563,12 +546,9 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage("no input");
-  // A bare slot-policy choice is asking for execution; alongside --c it
-  // configures the emitted program instead.  --pin and
-  // --jit configure only execution (emitted C has neither), so they
-  // demand a run even next to --c — never silently dropped.  --connect
-  // exists only to execute remotely, so it implies --run too.
-  if (slots_given && !want_c) want_run = true;
+  // --pin and --jit configure only execution (emitted C has neither), so
+  // they demand a run even next to --c — never silently dropped.
+  // --connect exists only to execute remotely, so it implies --run too.
   if (pin || jit || !connect_path.empty()) want_run = true;
   if (!want_dot && !want_sched && !want_code && !want_c && !want_compare &&
       !want_run) {
