@@ -25,7 +25,11 @@
 //                               drivers, one cache + one pool;
 //  * Fleet_Shards/1 vs /3     — the same batch routed by ShardRouter over
 //                               1 vs 3 in-process PlanServers (Unix
-//                               sockets).  Consistent hashing keeps the
+//                               sockets), one pipelined Run frame per job
+//                               issued from the benchmark thread (the
+//                               router owns no thread; each shard's
+//                               handler pool overlaps its group).
+//                               Consistent hashing keeps the
 //                               fleet-wide miss count at 1 per unique
 //                               structure regardless of shard count — the
 //                               fleet_misses counter pins that invariant
@@ -348,10 +352,9 @@ struct BenchFleet {
                           "-" + std::to_string(i) + ".sock";
       sopts.remove_existing = true;
       // A warm-cache bench loop legitimately sustains far more than the
-      // hostile-tenant defaults (10k frames/s, 4096 registered ids —
-      // run_jobs re-submits every job, so the registry grows per
-      // iteration); this measures routing cost, not quota behavior, so
-      // both quotas are off.
+      // hostile-tenant defaults (10k frames/s — every routed run is one
+      // Run frame — and 4096 registered ids); this measures routing
+      // cost, not quota behavior, so both quotas are off.
       sopts.max_frames_per_second = 0;
       sopts.max_programs_per_connection = 0;
       servers.push_back(std::make_unique<PlanServer>(sopts));

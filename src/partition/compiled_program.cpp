@@ -256,6 +256,65 @@ struct Walk {
         }
       }
     }
+    check_progress(cp);
+  }
+
+  /// Dry-run the threads with per-channel unread counts.  Sends never
+  /// block (each ring holds its channel's exact message count), so a
+  /// thread stalls only on a ChannelRecv operand whose channel has nothing
+  /// unread, and a stalled thread resumes only at a Send on that channel.
+  /// If every unfinished thread stalls, the executor would hang forever.
+  /// Each op and operand is visited once: O(ops + operands).
+  void check_progress(const CompiledProgram& cp) const {
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    const std::size_t nt = cp.threads.size();
+    std::vector<std::size_t> next_op(nt, 0);
+    std::vector<std::uint32_t> next_operand(nt, 0);
+    std::vector<std::int64_t> unread(cp.channels.size(), 0);
+    std::vector<std::size_t> waiter(cp.channels.size(), kNone);
+    std::vector<std::size_t> runnable(nt);
+    for (std::size_t ti = 0; ti < nt; ++ti) runnable[ti] = ti;
+    std::size_t finished = 0;
+    while (!runnable.empty()) {
+      const std::size_t ti = runnable.back();
+      runnable.pop_back();
+      const CompiledThread& t = cp.threads[ti];
+      bool stalled = false;
+      while (!stalled && next_op[ti] < t.ops.size()) {
+        const CompiledOp& op = t.ops[next_op[ti]];
+        if (op.kind == CompiledOp::Kind::Send) {
+          ++unread[op.chan];
+          if (waiter[op.chan] != kNone) {
+            runnable.push_back(waiter[op.chan]);
+            waiter[op.chan] = kNone;
+          }
+        }
+        std::uint32_t& k = next_operand[ti];
+        for (; k < op.num_operands; ++k) {
+          const OperandRef& r = t.operands[op.first_operand + k];
+          if (r.kind != OperandRef::Kind::ChannelRecv) continue;
+          if (unread[r.index] == 0) {
+            waiter[r.index] = ti;
+            stalled = true;
+            break;
+          }
+          --unread[r.index];
+        }
+        if (stalled) break;
+        k = 0;
+        ++next_op[ti];
+      }
+      if (!stalled) ++finished;
+    }
+    for (std::size_t ti = 0; finished < nt && ti < nt; ++ti) {
+      const CompiledThread& t = cp.threads[ti];
+      if (next_op[ti] == t.ops.size()) continue;
+      const CompiledOp& op = t.ops[next_op[ti]];
+      reject("deadlock: PE" + std::to_string(t.proc) + "'s compute " +
+             name(Inst{op.node, op.iter}) +
+             " waits forever on a receive (every unfinished PE is blocked "
+             "on another)");
+    }
   }
 };
 

@@ -23,8 +23,8 @@
 // "Unified lowering and slot reuse").
 //
 // compile_program() is also the program validator (see its rules below):
-// a program that compiles is race-free, FIFO-consistent and covers its
-// iteration space exactly once.
+// a program that compiles is race-free, FIFO-consistent, deadlock-free
+// and covers its iteration space exactly once.
 #pragma once
 
 #include <cstdint>
@@ -174,7 +174,10 @@ struct CompileOptions {
 ///  * a channel whose send sequence differs from its receive sequence
 ///    ("unmatched message", or "violates FIFO order");
 ///  * a program that does not compute every (node, iteration <
-///    iterations) instance exactly once.
+///    iterations) instance exactly once;
+///  * a cross-PE wait cycle ("deadlock"): a dry run of the compiled
+///    threads, with sends that never block, reaches a state where every
+///    unfinished PE waits on a receive.
 /// Each Receive becomes the ChannelRecv operand of the Compute that
 /// consumes it, so the compiled per-channel pop order is the program's
 /// receive order.

@@ -46,10 +46,15 @@ namespace mimd {
 
 namespace {
 
+/// Background-compile queue bound; excess enqueues are dropped (the slot
+/// reverts to Empty and a later cache hit re-enqueues).
+constexpr std::size_t kQueueCapacity = 64;
+
 #ifndef MIMD_JIT_DISABLED_REASON
 
-std::string scratch_root(const JitOptions& opts) {
-  if (!opts.scratch_dir.empty()) return opts.scratch_dir;
+/// Scratch directory for .c/.so artifacts: $TMPDIR, else /tmp.
+/// Artifacts are unlinked right after dlopen.
+std::string scratch_root() {
   if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') {
     return t;
   }
@@ -57,10 +62,10 @@ std::string scratch_root(const JitOptions& opts) {
 }
 
 /// A fresh scratch-path stem, unique within and across processes.
-std::string scratch_stem(const JitOptions& opts) {
+std::string scratch_stem() {
   static std::atomic<std::uint64_t> counter{0};
   std::ostringstream s;
-  s << scratch_root(opts) << "/mimd-jit-" << ::getpid() << "-"
+  s << scratch_root() << "/mimd-jit-" << ::getpid() << "-"
     << counter.fetch_add(1);
   return s.str();
 }
@@ -86,12 +91,11 @@ std::string read_excerpt(const std::string& path, std::size_t max_bytes) {
   return text;
 }
 
-/// cc -O2 -std=c11 -shared -fPIC -pthread <extra> -o so c 2> err.
+/// cc -O2 -std=c11 -shared -fPIC -pthread -o so c 2> err.
 /// Returns the system() status; nonzero means "read err".
 int run_toolchain(const JitOptions& opts, const ScratchFiles& f) {
   std::ostringstream cmd;
   cmd << opts.cc << " -O2 -std=c11 -shared -fPIC -pthread";
-  if (!opts.extra_flags.empty()) cmd << ' ' << opts.extra_flags;
   cmd << " -o " << f.so << ' ' << f.c << " 2> " << f.err;
   return std::system(cmd.str().c_str());  // NOLINT(cert-env33-c)
 }
@@ -101,13 +105,13 @@ struct ProbeResult {
   std::string reason;
 };
 
-/// Compile + load + call a trivial kernel once per (cc, extra_flags)
-/// pair, process-wide.  Many PlanCaches (test suites construct dozens)
+/// Compile + load + call a trivial kernel once per toolchain driver,
+/// process-wide.  Many PlanCaches (test suites construct dozens)
 /// share one probe; the map is tiny and never shrinks.
 const ProbeResult& probe_toolchain(const JitOptions& opts) {
   static std::mutex mu;
   static std::map<std::string, ProbeResult> cache;
-  const std::string key = opts.cc + "\x1f" + opts.extra_flags;
+  const std::string& key = opts.cc;
 
   const std::lock_guard<std::mutex> lock(mu);
   const auto it = cache.find(key);
@@ -115,7 +119,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
 
   ProbeResult r;
   ScratchFiles f;
-  const std::string stem = scratch_stem(opts);
+  const std::string stem = scratch_stem();
   f.c = stem + ".c";
   f.so = stem + ".so";
   f.err = stem + ".err";
@@ -267,7 +271,7 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
                                             eopts);
 
   ScratchFiles f;
-  const std::string stem = scratch_stem(opts);
+  const std::string stem = scratch_stem();
   f.c = stem + ".c";
   f.so = stem + ".so";
   f.err = stem + ".err";
@@ -362,7 +366,7 @@ void JitEngine::enqueue(std::shared_ptr<JitSlot> slot,
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (!stop_ && queue_.size() < opts_.queue_capacity) {
+    if (!stop_ && queue_.size() < kQueueCapacity) {
       queue_.push_back(Job{std::move(slot), std::move(plan)});
       cv_.notify_one();
       return;

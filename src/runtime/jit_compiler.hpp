@@ -20,8 +20,8 @@
 //  * JitEngine — one low-priority background compiler thread over a
 //    bounded queue, deduplicating by slot state (a slot is enqueued at
 //    most once; concurrent first requests CAS Empty -> Queued and only
-//    one wins).  Toolchain availability is probed once per (cc, flags)
-//    pair process-wide and cached, so constructing many engines (tests)
+//    one wins).  Toolchain availability is probed once per cc driver
+//    process-wide and cached, so constructing many engines (tests)
 //    costs one probe total.  A failed compile marks the slot Failed
 //    permanently — the interpreted plan keeps serving; no retry storms.
 //
@@ -56,17 +56,8 @@ class JitError : public std::runtime_error {
 };
 
 struct JitOptions {
-  /// Toolchain driver; probed once per (cc, extra_flags) process-wide.
+  /// Toolchain driver; probed once per driver process-wide.
   std::string cc = "cc";
-  /// Extra flags appended verbatim to the compile command (sanitizer
-  /// builds would pass matching instrumentation flags here).
-  std::string extra_flags;
-  /// Scratch directory for .c/.so artifacts; empty = $TMPDIR or /tmp.
-  /// Artifacts are unlinked right after dlopen.
-  std::string scratch_dir;
-  /// Background-compile queue bound; excess enqueues are dropped (the
-  /// slot reverts to Empty and a later cache hit re-enqueues).
-  std::size_t queue_capacity = 64;
 };
 
 /// A loaded native kernel.  Immutable and thread-compatible: run() is
@@ -126,7 +117,7 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 /// runs exactly as it does to interpreted ones.
 [[nodiscard]] bool jit_run_eligible(const RunOptions& opts);
 
-/// Probe (once per (cc, extra_flags), cached process-wide) whether this
+/// Probe (once per cc, cached process-wide) whether this
 /// toolchain can produce a loadable kernel.
 [[nodiscard]] bool jit_available(const JitOptions& opts = {});
 /// Empty string when available; otherwise the pinned reason ("no working

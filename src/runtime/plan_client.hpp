@@ -1,10 +1,10 @@
 // PlanClient — the client half of the mimdd wire protocol: a connected
 // stream socket (Unix-domain or TCP, named by a wire::Endpoint string)
 // plus typed request/reply calls mirroring the in-process plan-service
-// API.  mimdc --connect routes the one-shot driver and --batch mode
-// through this; ShardRouter owns one per fleet shard;
-// tests/test_plan_server.cpp uses it to hammer an in-process server from
-// many threads.
+// API.  mimdc --connect routes the one-shot driver through this;
+// ShardRouter owns one per fleet shard (mimdc --batch with --fleet, or
+// with --connect as a fleet of one); tests/test_plan_server.cpp uses it
+// to hammer an in-process server from many threads.
 //
 // Usage:
 //     PlanClient c = PlanClient::connect("/run/mimdd.sock");
@@ -15,7 +15,9 @@
 // Pipelining: every *_async call assigns a request id, registers a
 // pending future, writes the frame, and returns immediately, while one
 // reader thread (started by connect()) demuxes replies by id — they may
-// arrive in any order.  The blocking API above is the async API plus
+// arrive in any order.  This is the one way to run many: N run_async
+// calls, then N .get()s; the server's handler pool runs them
+// concurrently.  The blocking API above is the async API plus
 // .get(); a caller that .get()s each reply before sending the next
 // request runs at pipeline depth 1.
 //
@@ -88,7 +90,7 @@ class PlanClient {
   [[nodiscard]] std::string transport_error() const;
 
   /// Register a program; the reply's program_id names it in run() /
-  /// run_batch() on THIS connection.  Compilation is served from the
+  /// run_async() on THIS connection.  Compilation is served from the
   /// daemon's shared cache, so a structurally identical program submitted
   /// on any connection compiles once.
   wire::SubmitProgramReply submit_program(const PartitionedProgram& program,
@@ -105,11 +107,6 @@ class PlanClient {
   std::future<ExecutionResult> run_async(
       std::uint64_t program_id, std::int64_t iterations = 0,
       const wire::RemoteRunOptions& opts = {});
-
-  /// Execute many registered programs concurrently server-side (the
-  /// daemon's run_plans drivers).  Results are in item order.
-  wire::RunBatchReply run_batch(const std::vector<wire::RunRequest>& items,
-                                std::uint32_t concurrency = 0);
 
   /// Evict one registered program id from this connection's registry on
   /// the server (frees the pinned plan; the id becomes invalid).

@@ -28,6 +28,19 @@ namespace mimd {
 
 namespace {
 
+/// Pending-connection queue length for every listener.
+constexpr int kListenBacklog = 64;
+
+// Event-loop backpressure: stop reading a connection whose un-flushed
+// reply bytes exceed the high watermark, resume below the low one
+// (hysteresis, so a slow reader does not flap the interest mask per
+// frame); also stop reading once this many decoded-but-unanswered
+// requests are in flight, which bounds what a pipelining tenant can
+// queue into the handler pool.
+constexpr std::size_t kWriteHighWatermark = 8u << 20;
+constexpr std::size_t kWriteLowWatermark = 1u << 20;
+constexpr std::size_t kMaxPipelineDepth = 256;
+
 /// Size a run's result on the wire: the result matrix (nodes x
 /// iterations doubles) plus per-row/message overhead.  Overflow-proof —
 /// decode_run accepts any i64 iteration count, and a wrapped estimate
@@ -44,24 +57,16 @@ namespace {
   return nodes * (un * sizeof(double) + 4) + 64;
 }
 
-/// reply_bytes += estimate, without wrapping when estimates saturate.
-void add_saturating(std::uint64_t& total, std::uint64_t add) {
-  total = add > std::numeric_limits<std::uint64_t>::max() - total
-              ? std::numeric_limits<std::uint64_t>::max()
-              : total + add;
-}
-
 /// Refuse a request whose reply could not be shipped back in one frame
 /// BEFORE executing it: a completed-then-undeliverable run would waste
-/// the compute and then drop the connection at the write.  For a batch,
-/// pass the sum over all items — the reply is one frame.
+/// the compute and then drop the connection at the write.
 void check_reply_fits_frame(std::uint64_t estimated_bytes) {
   if (estimated_bytes > wire::kMaxFramePayload) {
     throw wire::WireError(
         "reply would exceed the " +
         std::to_string(wire::kMaxFramePayload >> 20) +
         " MiB frame limit (~" + std::to_string(estimated_bytes >> 20) +
-        " MiB of results); request fewer iterations or smaller batches");
+        " MiB of results); request fewer iterations");
   }
 }
 
@@ -161,7 +166,7 @@ void PlanServer::start() {
       throw std::runtime_error("bind(" + opts_.socket_path +
                                ") failed: " + std::strerror(err));
     }
-    if (::listen(fd, opts_.listen_backlog) != 0) {
+    if (::listen(fd, kListenBacklog) != 0) {
       const int err = errno;
       ::close(fd);
       ::unlink(opts_.socket_path.c_str());
@@ -183,7 +188,7 @@ void PlanServer::start() {
                               opts_.tcp_address + "'");
       }
       const auto [fd, port] =
-          wire::listen_tcp(ep.host, ep.port, opts_.listen_backlog);
+          wire::listen_tcp(ep.host, ep.port, kListenBacklog);
       tcp_port = port;
       auto l = std::make_unique<Listener>();
       l->fd = fd;
@@ -354,12 +359,12 @@ wire::StatsReply PlanServer::stats() const {
   return s;
 }
 
-void PlanServer::count_runs(std::uint64_t items, const JitRunCounters& jit) {
-  runs_executed_.fetch_add(items, std::memory_order_relaxed);
+void PlanServer::count_run(const JitRunCounters& jit) {
+  runs_executed_.fetch_add(1, std::memory_order_relaxed);
   jit_native_runs_.fetch_add(jit.native, std::memory_order_relaxed);
   // Gated on jit_available so --jit=off keeps every jit stat at zero.
   if (cache_.jit_available()) {
-    jit_interpreted_runs_.fetch_add(items - jit.native,
+    jit_interpreted_runs_.fetch_add(1 - jit.native,
                                     std::memory_order_relaxed);
     jit_ineligible_runs_.fetch_add(jit.ineligible,
                                    std::memory_order_relaxed);
@@ -638,16 +643,11 @@ void PlanServer::on_frame(const std::shared_ptr<Connection>& conn,
 bool PlanServer::update_pause_locked(Connection& c) {
   const std::size_t depth = static_cast<std::size_t>(c.in_flight);
   if (!c.read_paused) {
-    if ((opts_.write_high_watermark > 0 &&
-         c.wqueue_bytes > opts_.write_high_watermark) ||
-        (opts_.max_pipeline_depth > 0 &&
-         depth >= opts_.max_pipeline_depth)) {
+    if (c.wqueue_bytes > kWriteHighWatermark || depth >= kMaxPipelineDepth) {
       c.read_paused = true;
     }
   } else {
-    if (c.wqueue_bytes <= opts_.write_low_watermark &&
-        (opts_.max_pipeline_depth == 0 ||
-         depth < opts_.max_pipeline_depth)) {
+    if (c.wqueue_bytes <= kWriteLowWatermark && depth < kMaxPipelineDepth) {
       c.read_paused = false;
     }
   }
@@ -801,39 +801,6 @@ void PlanServer::handler_loop() {
 void PlanServer::process_task(Task& t) {
   Connection& c = *t.conn;
 
-  // Registered CachedPlans are shared_ptrs into the cache (plan and
-  // kernel slot both), so eviction can never invalidate a registered
-  // program, and a kernel published after registration is visible
-  // through the entry's slot on the next run.  Copied out under the lock
-  // so the run itself never holds it.  Run and RunBatch items resolve to
-  // the same PlanJob and reach the same run_plan dispatch.
-  const auto resolve = [&](const wire::RunRequest& req) -> PlanJob {
-    PlanCache::CachedPlan entry;
-    {
-      const std::lock_guard<std::mutex> lock(c.mu);
-      const auto it = c.programs.find(req.program_id);
-      if (it == c.programs.end()) {
-        throw wire::WireError("unknown program id " +
-                              std::to_string(req.program_id) +
-                              " (submit-program first; ids are "
-                              "per-connection)");
-      }
-      entry = it->second;
-    }
-    PlanJob job;
-    job.plan = entry.plan;
-    job.kernel = entry.kernel();  // per-request snapshot
-    job.iterations = req.iterations;
-    job.ropts = to_run_options(req.opts);
-    return job;
-  };
-  const auto reply_bytes_of = [](const PlanJob& job) {
-    return estimated_result_bytes(*job.plan,
-                                  job.iterations != 0
-                                      ? job.iterations
-                                      : job.plan->program().iterations);
-  };
-
   wire::FrameType reply_type = wire::FrameType::Error;
   std::vector<std::uint8_t> reply;
   bool struck = false;
@@ -899,38 +866,39 @@ void PlanServer::process_task(Task& t) {
           break;
         }
         case wire::FrameType::Run: {
-          const PlanJob job = resolve(wire::decode_run(t.frame.payload));
-          check_reply_fits_frame(reply_bytes_of(job));
-          // Inline on this handler thread: run_plans may create a
-          // thread per call, which a warm Run must not pay.
+          const wire::RunRequest req = wire::decode_run(t.frame.payload);
+          // Registered CachedPlans are shared_ptrs into the cache (plan
+          // and kernel slot both), so eviction can never invalidate a
+          // registered program, and a kernel published after registration
+          // is visible through the entry's slot on the next run.  Copied
+          // out under the lock so the run itself never holds it.
+          PlanCache::CachedPlan entry;
+          {
+            const std::lock_guard<std::mutex> lock(c.mu);
+            const auto it = c.programs.find(req.program_id);
+            if (it == c.programs.end()) {
+              throw wire::WireError("unknown program id " +
+                                    std::to_string(req.program_id) +
+                                    " (submit-program first; ids are "
+                                    "per-connection)");
+            }
+            entry = it->second;
+          }
+          PlanJob job;
+          job.plan = entry.plan;
+          job.kernel = entry.kernel();  // per-request snapshot
+          job.iterations = req.iterations;
+          job.ropts = to_run_options(req.opts);
+          check_reply_fits_frame(estimated_result_bytes(
+              *job.plan, job.iterations != 0 ? job.iterations
+                                             : job.plan->program().iterations));
+          // Inline on this handler thread: pipelined Runs on one
+          // connection are served concurrently by the handler pool.
           JitRunCounters jit;
           const ExecutionResult result = run_plan(job, pool_, jit);
-          count_runs(1, jit);
+          count_run(jit);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);
-          break;
-        }
-        case wire::FrameType::RunBatch: {
-          const wire::RunBatchRequest req =
-              wire::decode_run_batch(t.frame.payload);
-          std::vector<PlanJob> jobs;
-          jobs.reserve(req.items.size());
-          std::uint64_t reply_bytes = 0;
-          for (const wire::RunRequest& item : req.items) {
-            jobs.push_back(resolve(item));
-            add_saturating(reply_bytes, reply_bytes_of(jobs.back()));
-          }
-          check_reply_fits_frame(reply_bytes);
-          const auto t0 = std::chrono::steady_clock::now();
-          JitRunCounters jit;
-          wire::RunBatchReply rep;
-          rep.results = run_plans(jobs, pool_, req.concurrency, &jit);
-          rep.wall_seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-          count_runs(req.items.size(), jit);
-          reply_type = wire::FrameType::RunBatchReply;
-          reply = wire::encode_run_batch_reply(rep);
           break;
         }
         case wire::FrameType::DropProgram: {

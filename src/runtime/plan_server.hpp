@@ -22,8 +22,9 @@
 // (wire::FrameBuffer), the per-connection token bucket, and Ping —
 // answered inline with Pong, so a heartbeat proves the loop itself is
 // alive.  Every other decoded request is dispatched onto
-// `handler_threads` pool threads; a Run and every RunBatch item reach the plan service's one dispatch, run_plan
-// (runtime/plan_service.hpp), on the shared WorkerPool.  Handlers never
+// `handler_threads` pool threads; a Run reaches the plan service's one
+// dispatch, run_plan (runtime/plan_service.hpp), on the shared WorkerPool.
+// A client runs many by pipelining many Run frames on one connection.  Handlers never
 // touch sockets: a finished reply is appended to the connection's write
 // queue and the loop is woken through an eventfd to flush it
 // (writev-coalesced — pipelined connections get many frames per syscall).
@@ -36,11 +37,10 @@
 // frame of a retired or unknown type gets an Error reply like any other
 // failed request.
 //
-// Backpressure: a connection whose write queue is above
-// `write_high_watermark`, or with `max_pipeline_depth` requests already
-// decoded-but-unanswered, has EPOLLIN dropped from its interest mask until
-// it drains — a slow reader stalls only itself, never the loop or another
-// tenant.
+// Backpressure: a connection whose write queue is above a high watermark
+// (8 MiB), or with 256 requests already decoded-but-unanswered, has
+// EPOLLIN dropped from its interest mask until it drains — a slow reader
+// stalls only itself, never the loop or another tenant.
 //
 // Graceful shutdown drains in-flight runs: stop() unregisters the
 // listeners, then half-closes (SHUT_RD) every connection.  The loop keeps
@@ -82,7 +82,6 @@ struct PlanServerOptions {
   std::size_t cache_capacity = PlanCache::kDefaultCapacity;
   /// Pre-warmed pool workers (the pool still grows on demand).
   std::size_t initial_workers = 0;
-  int listen_backlog = 64;
   /// Unlink a pre-existing socket file before binding.  Off by default so
   /// two daemons cannot silently fight over one path.
   bool remove_existing = false;
@@ -105,8 +104,8 @@ struct PlanServerOptions {
   // requests get an Error frame (the connection survives, so a client
   // that backs off recovers); a connection that keeps violating past
   // `max_quota_strikes` is disconnected.  Defaults are far above anything
-  // a well-behaved client does (mimdc --batch submits ~1 frame per loop
-  // file) while still bounding a hostile flood.
+  // a well-behaved client does (mimdc --batch sends ~2 frames per loop
+  // file: a submit and a Run) while still bounding a hostile flood.
 
   /// Programs one connection may hold registered at once.  Each entry
   /// pins a shared_ptr'd plan in memory even after cache eviction, so an
@@ -119,17 +118,6 @@ struct PlanServerOptions {
   double frame_burst = 1000.0;
   /// Over-quota Error frames tolerated before the connection is dropped.
   int max_quota_strikes = 8;
-
-  // -- Event-loop backpressure -------------------------------------------
-  /// Stop reading a connection whose un-flushed reply bytes exceed the
-  /// high watermark; resume below the low one (hysteresis, so a slow
-  /// reader does not flap the interest mask per frame).
-  std::size_t write_high_watermark = 8u << 20;
-  std::size_t write_low_watermark = 1u << 20;
-  /// Decoded-but-unanswered requests one connection may have in flight
-  /// before the loop stops reading it — bounds what a pipelining tenant
-  /// can queue into the handler pool.
-  std::size_t max_pipeline_depth = 256;
 
   // -- Accept resource-exhaustion backoff --------------------------------
   /// On EMFILE/ENFILE (fd exhaustion — someone leaked or flooded), the
@@ -226,9 +214,8 @@ class PlanServer {
   void process_task(Task& task);
   void enqueue_task(Task task);           // any thread
   void kick(std::shared_ptr<Connection> conn);  // any thread
-  /// Tally `items` executed runs and how the native tier served them —
-  /// the one accumulation Run and RunBatch share.
-  void count_runs(std::uint64_t items, const JitRunCounters& jit);
+  /// Tally one executed run and how the native tier served it.
+  void count_run(const JitRunCounters& jit);
 
   PlanServerOptions opts_;
   PlanCache cache_;

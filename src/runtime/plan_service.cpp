@@ -120,14 +120,12 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
-                                       std::size_t concurrency,
-                                       JitRunCounters* out) {
+                                       std::size_t concurrency) {
   std::vector<ExecutionResult> results(jobs.size());
-  std::vector<JitRunCounters> counters(jobs.size());
   drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
-    results[i] = run_plan(jobs[i], pool, counters[i]);
+    JitRunCounters unused;
+    results[i] = run_plan(jobs[i], pool, unused);
   });
-  if (out != nullptr) *out = sum(counters);
   return results;
 }
 

@@ -96,7 +96,7 @@ struct PlanJob {
 };
 
 /// The one dispatch every resolved run takes — run_batch, run_plans and
-/// the mimdd server's Run and RunBatch frames all end here.  Runs `job`
+/// the mimdd server's Run frame all end here.  Runs `job`
 /// on `pool`: native when a kernel is published and the request is
 /// jit_run_eligible, interpreted otherwise, tallying the choice into
 /// `counters`.  Bit-identical either way — the kernel is the same
@@ -110,11 +110,9 @@ ExecutionResult run_plan(const PlanJob& job, WorkerPool& pool,
 /// run_batch without the cache leg: execute pre-resolved plans on `pool`
 /// with the same concurrent-driver shape and error discipline (first error
 /// — e.g. an iteration count other than the compiled one — rethrown after
-/// the drain).  Results are in job order.  `counters`, when non-null,
-/// receives the native/ineligible dispatch tallies for the batch.
+/// the drain).  Results are in job order.
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
-                                       std::size_t concurrency = 0,
-                                       JitRunCounters* counters = nullptr);
+                                       std::size_t concurrency = 0);
 
 }  // namespace mimd

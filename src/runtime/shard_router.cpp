@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -14,6 +12,13 @@
 namespace mimd {
 
 namespace {
+
+/// Ring points per shard.  More vnodes = smoother key distribution; 64
+/// keeps the max/mean shard load under ~1.3x for small fleets.
+constexpr std::size_t kVnodesPerShard = 64;
+
+/// Cap on the doubling backoff between connect attempts.
+constexpr int kConnectBackoffMaxMs = 200;
 
 /// SplitMix64 finalizer (the same mixer structural_hash builds on) —
 /// ring points must be uniform even though endpoint strings and vnode
@@ -39,13 +44,11 @@ std::uint64_t hash_endpoint(const std::string& s) {
 
 }  // namespace
 
-/// Per-shard client + health.  `mu` guards the health fields only; the
-/// client itself is single-threaded by construction (one thread per shard
-/// per round — see the class comment).
+/// Per-shard client + health.  Touched only by the router's single
+/// caller (see the class comment), so nothing here needs a lock.
 struct ShardRouter::Shard {
   PlanClient client;
   bool connected = false;
-  mutable std::mutex mu;
   bool dead = false;
   std::chrono::steady_clock::time_point dead_until{};
   /// route_key -> program_id on *this* connection: repeat jobs skip
@@ -65,11 +68,10 @@ ShardRouter::ShardRouter(ShardRouterOptions opts) : opts_(std::move(opts)) {
   if (endpoints_.empty()) {
     throw std::invalid_argument("ShardRouter: no endpoints configured");
   }
-  const std::size_t vnodes = std::max<std::size_t>(opts_.vnodes_per_shard, 1);
-  ring_.reserve(endpoints_.size() * vnodes);
+  ring_.reserve(endpoints_.size() * kVnodesPerShard);
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
     const std::uint64_t id = hash_endpoint(endpoints_[i]);
-    for (std::size_t v = 0; v < vnodes; ++v) {
+    for (std::size_t v = 0; v < kVnodesPerShard; ++v) {
       ring_.emplace_back(mix64(id ^ mix64(v)), i);
     }
     shards_.push_back(std::make_unique<Shard>());
@@ -118,7 +120,6 @@ std::vector<std::size_t> ShardRouter::preference_order(
 
 void ShardRouter::mark_dead(std::size_t shard) {
   Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lk(s.mu);
   s.dead = true;
   s.dead_until = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(opts_.dead_cooldown_ms);
@@ -131,7 +132,6 @@ void ShardRouter::mark_dead(std::size_t shard) {
 
 bool ShardRouter::is_dead(std::size_t shard) const {
   Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lk(s.mu);
   if (!s.dead) return false;
   if (std::chrono::steady_clock::now() >= s.dead_until) {
     s.dead = false;  // cooldown over: eligible for a reconnect probe
@@ -144,17 +144,12 @@ void ShardRouter::note_failure(std::size_t shard) { mark_dead(shard); }
 
 PlanClient& ShardRouter::ensure_connected(std::size_t shard) {
   Shard& s = *shards_.at(shard);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (s.connected) return s.client;
-  }
+  if (s.connected) return s.client;
   const int attempts = std::max(opts_.connect_attempts, 1);
   int backoff_ms = std::max(opts_.connect_backoff_initial_ms, 1);
   for (int attempt = 0;; ++attempt) {
     try {
-      PlanClient c = PlanClient::connect(endpoints_[shard], opts_.timeout_ms);
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.client = std::move(c);
+      s.client = PlanClient::connect(endpoints_[shard], opts_.timeout_ms);
       s.connected = true;
       s.dead = false;
       s.submitted.clear();  // fresh connection, fresh id space
@@ -162,7 +157,7 @@ PlanClient& ShardRouter::ensure_connected(std::size_t shard) {
     } catch (const wire::WireError&) {
       if (attempt + 1 >= attempts) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, opts_.connect_backoff_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kConnectBackoffMaxMs);
     }
   }
 }
@@ -185,7 +180,7 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
   for (std::size_t i = 0; i < jobs.size(); ++i) pending[i] = i;
 
   // Each round assigns every pending job to its first live shard and
-  // drives the per-shard groups concurrently.  A group whose shard dies
+  // drives the per-shard groups.  A group whose shard dies
   // mid-round stays pending and reroutes next round; at most one round
   // per shard can fail, so shard_count()+1 rounds always suffice.
   for (std::size_t round = 0; round <= shard_count() && !pending.empty();
@@ -208,78 +203,104 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
     }
     pending.clear();
 
-    std::mutex retry_mu;
+    // Every shard's group is driven from this thread, pipelined: issue
+    // each shard's uncached submits, then gather the ids and issue one
+    // Run per job, then gather the results.  Each shard overlaps its
+    // compiles and runs across its handler pool, and all shards work at
+    // once, with no router-owned thread.  A duplicate key inside one
+    // group may submit twice (both misses at issue time); the daemon's
+    // shared cache still compiles once and the extra registry id is
+    // harmless.
+    struct Flight {
+      bool live = false;
+      std::vector<std::uint64_t> ids;  ///< program id per group slot
+      std::vector<
+          std::pair<std::size_t, std::future<wire::SubmitProgramReply>>>
+          submits;
+      std::vector<std::future<ExecutionResult>> runs;
+    };
+    std::vector<Flight> flights(shard_count());
     std::exception_ptr remote_error;  // first RemoteError wins, rethrown
-    std::vector<std::thread> threads;
+    // Transport death: bury the shard, reroute the whole group
+    // (idempotent — rerunning on the successor is bit-identical).
+    const auto bury = [&](std::size_t shard) {
+      note_failure(shard);
+      pending.insert(pending.end(), groups[shard].begin(),
+                     groups[shard].end());
+      flights[shard].live = false;
+    };
+    // The shard is healthy and said no: the caller's problem, rethrown
+    // once every future of the round has drained.
+    const auto refused = [&] {
+      if (!remote_error) remote_error = std::current_exception();
+    };
+
     for (std::size_t shard = 0; shard < groups.size(); ++shard) {
-      if (groups[shard].empty()) continue;
-      threads.emplace_back([&, shard] {
-        const std::vector<std::size_t>& group = groups[shard];
-        try {
-          PlanClient& client = ensure_connected(shard);
-          Shard& s = *shards_[shard];
-          // Pipelined submits: issue every uncached job's SubmitProgram
-          // back-to-back, then gather the ids — the shard overlaps the
-          // compiles across its handler pool and the wire carries N
-          // requests per flight instead of N round trips.  A duplicate key inside one group may submit twice
-          // (both misses at issue time); the daemon's shared cache still
-          // compiles once and the extra registry id is harmless.
-          std::vector<wire::RunRequest> items(group.size());
-          std::vector<
-              std::pair<std::size_t, std::future<wire::SubmitProgramReply>>>
-              inflight;
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            const std::size_t j = group[k];
-            bool cached = false;
-            {
-              std::lock_guard<std::mutex> lk(s.mu);
-              const auto it = s.submitted.find(keys[j]);
-              if (it != s.submitted.end()) {
-                items[k].program_id = it->second;
-                cached = true;
-              }
-            }
-            if (!cached) {
-              inflight.emplace_back(
-                  k, client.submit_program_async(jobs[j].program,
-                                                 jobs[j].graph,
-                                                 jobs[j].copts));
-            }
-            items[k].iterations = jobs[j].iterations;
-            items[k].opts = jobs[j].run_opts;
-          }
-          for (auto& [k, fut] : inflight) {
-            // Throws RemoteError (rethrown to the caller) or WireError
-            // (failover) exactly like the blocking submit did.
-            const wire::SubmitProgramReply sub = fut.get();
-            items[k].program_id = sub.program_id;
-            std::lock_guard<std::mutex> lk(s.mu);
-            s.submitted.emplace(keys[group[k]], sub.program_id);
-          }
-          wire::RunBatchReply reply = client.run_batch(items);
-          if (reply.results.size() != group.size()) {
-            throw wire::WireError("ShardRouter: shard returned " +
-                                  std::to_string(reply.results.size()) +
-                                  " results for " +
-                                  std::to_string(group.size()) + " jobs");
-          }
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            results[group[k]] = std::move(reply.results[k]);
-          }
-        } catch (const RemoteError&) {
-          // The shard is healthy and said no: the caller's problem.
-          std::lock_guard<std::mutex> lk(retry_mu);
-          if (!remote_error) remote_error = std::current_exception();
-        } catch (const wire::WireError&) {
-          // Transport death: bury the shard, reroute the whole group
-          // (idempotent — rerunning on the successor is bit-identical).
-          note_failure(shard);
-          std::lock_guard<std::mutex> lk(retry_mu);
-          pending.insert(pending.end(), group.begin(), group.end());
+      const std::vector<std::size_t>& group = groups[shard];
+      if (group.empty()) continue;
+      Flight& f = flights[shard];
+      PlanClient* client = nullptr;
+      try {
+        client = &ensure_connected(shard);
+      } catch (const wire::WireError&) {
+        bury(shard);
+        continue;
+      }
+      f.live = true;
+      f.ids.resize(group.size());
+      const Shard& s = *shards_[shard];
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        const std::size_t j = group[k];
+        const auto it = s.submitted.find(keys[j]);
+        if (it != s.submitted.end()) {
+          f.ids[k] = it->second;
+        } else {
+          f.submits.emplace_back(
+              k, client->submit_program_async(jobs[j].program, jobs[j].graph,
+                                              jobs[j].copts));
         }
-      });
+      }
     }
-    for (std::thread& t : threads) t.join();
+
+    for (std::size_t shard = 0; shard < groups.size(); ++shard) {
+      Flight& f = flights[shard];
+      if (!f.live) continue;
+      const std::vector<std::size_t>& group = groups[shard];
+      Shard& s = *shards_[shard];
+      bool rejected = false;
+      for (auto& [k, fut] : f.submits) {
+        try {
+          f.ids[k] = fut.get().program_id;
+        } catch (const RemoteError&) {
+          refused();
+          rejected = true;
+          continue;
+        } catch (const wire::WireError&) {
+          bury(shard);
+          break;
+        }
+        s.submitted.emplace(keys[group[k]], f.ids[k]);
+      }
+      if (!f.live || rejected) continue;
+      for (std::size_t k = 0; k < group.size(); ++k) {
+        const ShardJob& job = jobs[group[k]];
+        f.runs.push_back(
+            s.client.run_async(f.ids[k], job.iterations, job.run_opts));
+      }
+    }
+
+    for (std::size_t shard = 0; shard < groups.size(); ++shard) {
+      Flight& f = flights[shard];
+      for (std::size_t k = 0; f.live && k < f.runs.size(); ++k) {
+        try {
+          results[groups[shard][k]] = f.runs[k].get();
+        } catch (const RemoteError&) {
+          refused();
+        } catch (const wire::WireError&) {
+          bury(shard);
+        }
+      }
+    }
     if (remote_error) std::rethrow_exception(remote_error);
   }
 
@@ -306,13 +327,9 @@ bool ShardRouter::drop_program(const PartitionedProgram& program,
   bool dropped = false;
   for (const std::size_t shard : preference_order(key)) {
     Shard& s = *shards_[shard];
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lk(s.mu);
-      const auto it = s.submitted.find(key);
-      if (it == s.submitted.end()) continue;
-      id = it->second;
-    }
+    const auto it = s.submitted.find(key);
+    if (it == s.submitted.end()) continue;
+    const std::uint64_t id = it->second;
     try {
       ensure_connected(shard).drop_program(id);
     } catch (const RemoteError&) {
@@ -329,10 +346,7 @@ bool ShardRouter::drop_program(const PartitionedProgram& program,
     }
     // Invalidate only on ack (or a stale id): the next run_jobs with
     // this program re-submits instead of using a dangling id.
-    {
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.submitted.erase(key);
-    }
+    s.submitted.erase(key);
     dropped = true;
   }
   return dropped;
@@ -364,7 +378,6 @@ void ShardRouter::shutdown_fleet() {
       // Already down (or dying): that is the goal state.
     }
     Shard& s = *shards_[i];
-    std::lock_guard<std::mutex> lk(s.mu);
     if (s.connected) {
       s.client.close();
       s.connected = false;

@@ -10,7 +10,7 @@
 // structure (bench/bench_plan_service.cpp's A/B proves this with the
 // shards' miss counters).
 //
-// The ring: each shard contributes `vnodes_per_shard` points, hashed from
+// The ring: each shard contributes 64 virtual points, hashed from
 // its *endpoint string* (not its index), so the placement of every
 // existing shard's points is independent of list order and of shards
 // added later.  Adding one shard to an N-shard fleet therefore remaps
@@ -29,11 +29,14 @@
 // request) is the caller's problem and is rethrown — it is not a health
 // event.  Only when every shard is dead does run_jobs throw WireError.
 //
-// Threading: run_jobs dispatches one thread per shard that owns work
-// this round; a shard's client is only ever touched by the single thread
-// handling that shard's group (plus the caller between calls) — the
-// shared-nothing discipline again, now client-side.  A ShardRouter
-// itself is single-caller, like PlanClient.
+// One remote batch: run_jobs drives every shard from the calling thread
+// with pipelined frames on each shard's one connection — the uncached
+// SubmitPrograms, then one Run per job, then the replies — so each shard
+// overlaps its group across its handler pool and the router owns no
+// thread.  Every routed run is one frame against the shard's frame-rate
+// bucket (PlanServerOptions::frame_burst), so a group larger than the
+// burst to one shard trips the quota.  A ShardRouter is single-caller:
+// no lock guards its per-shard state.
 #pragma once
 
 #include <cstdint>
@@ -56,12 +59,8 @@ struct ShardRouterOptions {
   int timeout_ms = 0;
   /// Connect attempts per shard before it is declared dead.
   int connect_attempts = 3;
-  /// Backoff between connect attempts, doubling from initial to max.
+  /// Backoff between connect attempts, doubling from this to 200 ms.
   int connect_backoff_initial_ms = 10;
-  int connect_backoff_max_ms = 200;
-  /// Ring points per shard.  More vnodes = smoother key distribution;
-  /// 64 keeps the max/mean shard load under ~1.3x for small fleets.
-  std::size_t vnodes_per_shard = 64;
   /// How long a dead shard is skipped before the router probes it again.
   int dead_cooldown_ms = 1000;
 };
@@ -113,9 +112,10 @@ class ShardRouter {
       std::uint64_t key) const;
 
   /// Route and execute `jobs` across the fleet; results in job order.
-  /// Shards are driven concurrently (one thread per shard with work).
-  /// Dead shards fail over per the class comment; throws wire::WireError
-  /// once every shard is dead, and rethrows RemoteError untouched.
+  /// Every shard with work runs its group at once, as pipelined Run
+  /// frames issued from this thread.  Dead shards fail over per the class
+  /// comment; throws wire::WireError once every shard is dead, and
+  /// rethrows RemoteError untouched once the round's futures drained.
   [[nodiscard]] std::vector<ExecutionResult> run_jobs(
       const std::vector<ShardJob>& jobs);
 

@@ -312,44 +312,6 @@ ExecutionResult decode_run_reply(const std::vector<std::uint8_t>& payload) {
   return r;
 }
 
-std::vector<std::uint8_t> encode_run_batch(const RunBatchRequest& m) {
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(m.items.size()));
-  for (const RunRequest& it : m.items) encode_run_request(e, it);
-  e.u32(m.concurrency);
-  return e.take();
-}
-
-RunBatchRequest decode_run_batch(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  RunBatchRequest m;
-  const std::uint32_t n = d.count(21);  // 8 + 8 + 5 per item
-  m.items.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.items.push_back(decode_run_request(d));
-  m.concurrency = d.u32();
-  d.expect_done();
-  return m;
-}
-
-std::vector<std::uint8_t> encode_run_batch_reply(const RunBatchReply& m) {
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(m.results.size()));
-  for (const ExecutionResult& r : m.results) encode_result(e, r);
-  e.f64(m.wall_seconds);
-  return e.take();
-}
-
-RunBatchReply decode_run_batch_reply(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  RunBatchReply m;
-  const std::uint32_t n = d.count(12);
-  m.results.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.results.push_back(decode_result(d));
-  m.wall_seconds = d.f64();
-  d.expect_done();
-  return m;
-}
-
 std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {
   Encoder e;
   e.u64(m.cache.hits);

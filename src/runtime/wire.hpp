@@ -32,13 +32,14 @@
 // Request/reply types:
 //     SubmitProgram -> SubmitProgramReply   register a program, get an id
 //     Run           -> RunReply             execute one registered program
-//     RunBatch      -> RunBatchReply        execute many, concurrently
 //     Stats         -> StatsReply           cache/pool/server counters
 //     Shutdown      -> ShutdownReply        ack, then the server drains
 //     DropProgram   -> DropProgramReply     evict one registered id
 //     Ping          -> Pong                 liveness probe, answered inline
 // Any request can instead yield Error (a human-readable message); the
-// connection stays usable afterwards.
+// connection stays usable afterwards.  There is one way to run many: N
+// pipelined Run frames on one connection (the server's handler pool
+// serves them concurrently, replies demux by id).
 #pragma once
 
 #include <sys/un.h>
@@ -69,12 +70,12 @@ enum class FrameType : std::uint8_t {
   // Requests (client -> server).
   SubmitProgram = 1,
   Run = 2,
-  RunBatch = 3,
   Stats = 4,
   Shutdown = 5,
   DropProgram = 6,
-  // Values 8 and 72 are retired (the former version handshake); a frame
-  // carrying either gets the server's unknown-type Error reply.
+  // Values 3 and 67 (the former RunBatch pair) and 8 and 72 (the former
+  // version handshake) are retired; a frame carrying any of them gets the
+  // server's unknown-type Error reply.
   /// Liveness probe: empty payload, answered inline with Pong echoing the
   /// request id.  Lets an idle client detect a wedged server without a
   /// real request in flight.  Exempt from the frame-rate bucket:
@@ -83,7 +84,6 @@ enum class FrameType : std::uint8_t {
   // Replies (server -> client): request type + 64.
   SubmitProgramReply = 65,
   RunReply = 66,
-  RunBatchReply = 67,
   StatsReply = 68,
   ShutdownReply = 69,
   DropProgramReply = 70,
@@ -182,7 +182,7 @@ struct SubmitProgramRequest {
 };
 
 struct SubmitProgramReply {
-  /// Connection-scoped handle for Run / RunBatch.
+  /// Connection-scoped handle for Run.
   std::uint64_t program_id = 0;
   std::uint32_t threads = 0;
   std::uint32_t channels = 0;
@@ -204,17 +204,6 @@ struct RunRequest {
   /// frame (a plan computes exactly the iterations it was compiled for).
   std::int64_t iterations = 0;
   RemoteRunOptions opts;
-};
-
-struct RunBatchRequest {
-  std::vector<RunRequest> items;
-  /// Driver threads on the server; 0 = hardware_concurrency.
-  std::uint32_t concurrency = 0;
-};
-
-struct RunBatchReply {
-  std::vector<ExecutionResult> results;  ///< in item order
-  double wall_seconds = 0.0;
 };
 
 struct StatsReply {
@@ -269,16 +258,6 @@ struct StatsReply {
 [[nodiscard]] std::vector<std::uint8_t> encode_run_reply(
     const ExecutionResult& m);
 [[nodiscard]] ExecutionResult decode_run_reply(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_run_batch(
-    const RunBatchRequest& m);
-[[nodiscard]] RunBatchRequest decode_run_batch(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_run_batch_reply(
-    const RunBatchReply& m);
-[[nodiscard]] RunBatchReply decode_run_batch_reply(
     const std::vector<std::uint8_t>& payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_reply(

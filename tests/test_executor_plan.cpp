@@ -268,12 +268,44 @@ TEST(CompiledProgram, RejectsProgramsNotIndexedByProcessor) {
       << rejection(p, g);
 }
 
+TEST(CompiledProgram, RejectsCrossPeDeadlock) {
+  // A -> B at distance 0, B -> A at distance 1, n = 2.  Every channel is
+  // matched and FIFO, every operand is available in program order, yet
+  // PE0 waits for B@0 before it sends A@0, and PE1 needs A@0 to compute
+  // B@0: each PE waits on the other forever.
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId ab = g.add_edge(a, b, 0);
+  const EdgeId ba = g.add_edge(b, a, 1);
+  PartitionedProgram p = empty_program(2);
+  p.programs[0].ops = {compute(a, 0),
+                       Op{Op::Kind::Receive, Inst{b, 0}, ba, 1},
+                       compute(a, 1),
+                       Op{Op::Kind::Send, Inst{a, 0}, ab, 1},
+                       Op{Op::Kind::Send, Inst{a, 1}, ab, 1}};
+  p.programs[1].ops = {Op{Op::Kind::Receive, Inst{a, 0}, ab, 0},
+                       compute(b, 0),
+                       Op{Op::Kind::Send, Inst{b, 0}, ba, 0},
+                       Op{Op::Kind::Receive, Inst{a, 1}, ab, 0},
+                       compute(b, 1)};
+  EXPECT_NE(rejection(p, g).find("deadlock"), std::string::npos)
+      << rejection(p, g);
+
+  // Sending A@0 before waiting on B@0 breaks the cycle: same ops, and
+  // the program compiles and runs bit-exact.
+  std::swap(p.programs[0].ops[1], p.programs[0].ops[3]);
+  std::swap(p.programs[0].ops[2], p.programs[0].ops[3]);
+  ASSERT_EQ(rejection(p, g), "");
+  expect_equal_values(compile(p, g).run(2), run_sequential(g, 2), 2);
+}
+
 /// One random single-op mutation of `p`: shift an iteration, drop,
 /// duplicate or swap (with its successor) an op, or retarget a send or
 /// receive at another processor.  Swaps stay adjacent: lowering never puts
 /// a Send right before a Compute that waits on a channel, so an adjacent
-/// swap cannot build a cross-PE wait cycle — a deadlock compile_program's
-/// shape check does not detect.
+/// swap cannot build a cross-PE wait cycle (compile_program's dry run
+/// rejects one; RejectsCrossPeDeadlock pins that).
 PartitionedProgram mutate(PartitionedProgram p, std::mt19937_64& rng) {
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng() % n);

@@ -165,23 +165,21 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
     loops.push_back(generate_loop(seed));
   }
 
-  // Leg 1: the daemon, over the Unix socket (one connection, one batched
-  // run — the mimdc --batch --connect shape).
+  // Leg 1: the daemon, over the Unix socket (one connection, every Run
+  // pipelined before any reply is awaited — the mimdc --batch --connect
+  // shape).
   TestServer ts("ps_fuzz");
   std::vector<ExecutionResult> via_daemon;
   {
     PlanClient client = PlanClient::connect(ts.server.socket_path());
-    std::vector<wire::RunRequest> items;
+    std::vector<std::future<ExecutionResult>> runs;
     for (std::size_t i = 0; i < loops.size(); ++i) {
       const wire::SubmitProgramReply sub =
           client.submit_program(loops[i].program, loops[i].graph);
       EXPECT_EQ(sub.iterations, loops[i].iterations) << loops[i].tag;
-      wire::RunRequest item;
-      item.program_id = sub.program_id;
-      item.iterations = 0;  // compiled count
-      items.push_back(item);
+      runs.push_back(client.run_async(sub.program_id));  // compiled count
     }
-    via_daemon = client.run_batch(items).results;
+    for (auto& run : runs) via_daemon.push_back(run.get());
   }
   ASSERT_EQ(via_daemon.size(), loops.size());
 
@@ -418,6 +416,30 @@ TEST(PlanServer, ErrorFramesKeepTheConnectionUsable) {
   }
   EXPECT_THROW((void)client.submit_program(twice, lone), RemoteError);
 
+  // A cross-PE wait cycle: PE0 waits for B@0 before sending A@0, which
+  // PE1 needs to compute B@0.  Executed, it would hang both PEs forever;
+  // compile_program's dry run rejects it at submit.
+  Ddg cycle;
+  const NodeId a = cycle.add_node("A");
+  const NodeId b = cycle.add_node("B");
+  const EdgeId ab = cycle.add_edge(a, b, 0);
+  const EdgeId ba = cycle.add_edge(b, a, 1);
+  PartitionedProgram deadlock;
+  deadlock.processors = 2;
+  deadlock.programs.resize(2);
+  deadlock.programs[1].proc = 1;
+  deadlock.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, 0}, 0u, -1},
+                              Op{Op::Kind::Receive, Inst{b, 0}, ba, 1},
+                              Op{Op::Kind::Compute, Inst{a, 1}, 0u, -1},
+                              Op{Op::Kind::Send, Inst{a, 0}, ab, 1},
+                              Op{Op::Kind::Send, Inst{a, 1}, ab, 1}};
+  deadlock.programs[1].ops = {Op{Op::Kind::Receive, Inst{a, 0}, ab, 0},
+                              Op{Op::Kind::Compute, Inst{b, 0}, 0u, -1},
+                              Op{Op::Kind::Send, Inst{b, 0}, ba, 0},
+                              Op{Op::Kind::Receive, Inst{a, 1}, ab, 0},
+                              Op{Op::Kind::Compute, Inst{b, 1}, 0u, -1}};
+  EXPECT_THROW((void)client.submit_program(deadlock, cycle), RemoteError);
+
   // Iterations below the compiled count.
   const std::uint64_t id =
       client.submit_program(gl.program, gl.graph).program_id;
@@ -545,31 +567,26 @@ TEST(PlanServer, RunPastTheCompiledCountIsATypedErrorOnEverySurface) {
     EXPECT_THROW((void)kernel->run(128), ContractViolation);
   }
 
-  // Remote: a Run and a RunBatch item each get an Error frame.
+  // Remote: each refused Run gets an Error frame.
   TestServer ts("ps_past_count");
   PlanClient client = PlanClient::connect(ts.server.socket_path());
   const std::uint64_t id = client.submit_program(r.program, g).program_id;
   EXPECT_THROW((void)client.run(id, 128), RemoteError);
-  wire::RunRequest good;
-  good.program_id = id;
-  wire::RunRequest bad = good;
-  bad.iterations = 128;
-  EXPECT_THROW((void)client.run_batch({good, bad}), RemoteError);
   EXPECT_THROW((void)client.run(id, -1), RemoteError);
 
   const ExecutionResult ok = client.run(id, 64);
   EXPECT_TRUE(values_match(ok, run_reference(g, 64), 64));
 }
 
-// Run is a batch of one: with a published kernel (or with the JIT off),
-// a Run and a one-item RunBatch of the same request return bit-identical
-// values and move every jit Stats counter by the same amount — for an
-// eligible request and for one the kernel cannot serve.  With the JIT
-// off every jit counter stays 0.
-TEST(PlanServer, RunAndOneItemRunBatchDispatchIdentically) {
+// Each Run moves the jit Stats counters by exactly its own dispatch: a
+// kernel-eligible request with a published kernel counts one native
+// (= pooled) run, one the kernel cannot serve counts one interpreted and
+// one ineligible run, and with the JIT off every jit counter stays 0.
+// Either way the values are bit-exact against the sequential reference.
+TEST(PlanServer, RunTalliesTheNativeTierPerRequest) {
   const GeneratedLoop gl = generate_loop(97);
   for (const bool jit : {true, false}) {
-    TestServer ts(jit ? "ps_parity_jit" : "ps_parity_nojit",
+    TestServer ts(jit ? "ps_tally_jit" : "ps_tally_nojit",
                   [&](PlanServerOptions& o) { o.enable_jit = jit; });
     PlanClient client = PlanClient::connect(ts.server.socket_path());
     const std::uint64_t id =
@@ -584,41 +601,29 @@ TEST(PlanServer, RunAndOneItemRunBatchDispatchIdentically) {
           st.jit_native_runs, st.jit_pooled_runs, st.jit_interpreted_runs,
           st.jit_ineligible_runs};
     };
-    const auto delta = [](const std::vector<std::uint64_t>& a,
-                          const std::vector<std::uint64_t>& b) {
-      std::vector<std::uint64_t> d(a.size());
-      for (std::size_t i = 0; i < a.size(); ++i) d[i] = b[i] - a[i];
-      return d;
-    };
     for (const int work : {0, 3}) {
-      wire::RunRequest item;
-      item.program_id = id;
-      item.opts.work_per_cycle = work;
+      wire::RemoteRunOptions opts;
+      opts.work_per_cycle = work;
       const auto s0 = jit_counters(client.stats());
-      const ExecutionResult via_run = client.run(id, 0, item.opts);
+      const ExecutionResult via_run = client.run(id, 0, opts);
       const auto s1 = jit_counters(client.stats());
-      const wire::RunBatchReply via_batch = client.run_batch({item});
-      const auto s2 = jit_counters(client.stats());
 
-      ASSERT_EQ(via_batch.results.size(), 1u);
-      EXPECT_TRUE(
-          values_match(via_run, via_batch.results[0], gl.iterations))
-          << "work " << work;
       KernelOptions kernel;
       kernel.work_per_cycle = work;
       EXPECT_TRUE(values_match(
           via_run, run_reference(gl.graph, gl.iterations, kernel),
           gl.iterations))
           << "work " << work;
-      EXPECT_EQ(delta(s0, s1), delta(s1, s2)) << "work " << work;
       if (!jit) {
-        EXPECT_EQ(s2, std::vector<std::uint64_t>(4, 0)) << "work " << work;
+        EXPECT_EQ(s1, std::vector<std::uint64_t>(4, 0)) << "work " << work;
       } else if (native) {
         // native, pooled, interpreted, ineligible
         const std::vector<std::uint64_t> want =
             work == 0 ? std::vector<std::uint64_t>{1, 1, 0, 0}
                       : std::vector<std::uint64_t>{0, 0, 1, 1};
-        EXPECT_EQ(delta(s0, s1), want) << "work " << work;
+        std::vector<std::uint64_t> delta(s0.size());
+        for (std::size_t i = 0; i < s0.size(); ++i) delta[i] = s1[i] - s0[i];
+        EXPECT_EQ(delta, want) << "work " << work;
       }
     }
   }
@@ -1045,9 +1050,10 @@ std::vector<wire::Frame> frames_until_disconnect(int fd) {
 }
 
 // The first frame on a connection is untrusted input like any other.
-// Three hostile openers, each on a fresh raw connection: a frame of the
-// retired Hello type (8), the 5-byte-header frame the retired framing
-// opened with, and seeded garbage.  Each must end in an Error frame or a
+// Hostile openers, each on a fresh raw connection: a frame of each
+// retired type (3 and 67, the former RunBatch pair; 8, the former Hello),
+// the 5-byte-header frame the retired framing opened with, and seeded
+// garbage.  Each must end in an Error frame or a
 // clean disconnect within a bounded wait — never a hang, never a crash —
 // and a client connected throughout keeps being served.
 TEST(PlanServer, HostileFirstFrameIsAnErrorOrADisconnectNeverAHang) {
@@ -1058,24 +1064,43 @@ TEST(PlanServer, HostileFirstFrameIsAnErrorOrADisconnectNeverAHang) {
   const std::uint64_t id =
       bystander.submit_program(gl.program, gl.graph).program_id;
 
-  // Retired type 8 with the payload it used to carry: the handler's
-  // unknown-type Error frame, echoing the id, and the connection lives on.
-  {
+  // Each retired type with a payload of the shape it used to carry (a
+  // one-item RunBatch naming the bystander's id, an empty RunBatchReply,
+  // a Hello version range): the handler's unknown-type Error frame,
+  // echoing the id, and the connection lives on.
+  wire::Encoder run_batch;  // u32 count | program id | iterations | opts |
+  run_batch.u32(1);         // u32 concurrency
+  run_batch.u64(id);
+  run_batch.i64(0);
+  run_batch.u8(0);
+  run_batch.i32(0);
+  run_batch.u32(0);
+  wire::Encoder run_batch_reply;  // u32 count | f64 wall seconds
+  run_batch_reply.u32(0);
+  run_batch_reply.f64(0.0);
+  const std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>>
+      retired = {
+          {3, run_batch.take()},
+          {67, run_batch_reply.take()},
+          {8, {1, 0, 0, 0, 2, 0, 0, 0}},
+      };
+  for (const auto& [type, payload] : retired) {
     const int fd = connect_raw(ts.server.socket_path());
     ASSERT_GE(fd, 0);
-    const std::vector<std::uint8_t> hello_payload = {1, 0, 0, 0, 2, 0, 0, 0};
-    wire::write_frame(fd, static_cast<wire::FrameType>(8), 1, hello_payload);
+    const std::uint64_t rid = 100 + type;
+    wire::write_frame(fd, static_cast<wire::FrameType>(type), rid, payload);
     const auto reply = wire::read_frame(fd);
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->type, wire::FrameType::Error);
-    EXPECT_EQ(reply->request_id, 1u);
-    EXPECT_NE(wire::decode_error(reply->payload).find("frame type 8"),
+    ASSERT_TRUE(reply.has_value()) << "type " << int{type};
+    EXPECT_EQ(reply->type, wire::FrameType::Error) << "type " << int{type};
+    EXPECT_EQ(reply->request_id, rid);
+    EXPECT_NE(wire::decode_error(reply->payload)
+                  .find("frame type " + std::to_string(type)),
               std::string::npos);
-    wire::write_frame(fd, wire::FrameType::Stats, 2, {});
+    wire::write_frame(fd, wire::FrameType::Stats, rid + 1, {});
     const auto stats = wire::read_frame(fd);
-    ASSERT_TRUE(stats.has_value());
+    ASSERT_TRUE(stats.has_value()) << "type " << int{type};
     EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
-    EXPECT_EQ(stats->request_id, 2u);
+    EXPECT_EQ(stats->request_id, rid + 1);
     ::close(fd);
   }
 

@@ -6,8 +6,10 @@
 // service and to sequential execution (the same three-way oracle
 // test_plan_server.cpp applies to one daemon).
 //
-// Runs under TSan in CI: the router's per-shard threads, the servers'
-// handler threads, and the shared cache/pool all race here if they can.
+// Runs under TSan in CI: the router drives every shard from the calling
+// thread with no lock on its per-shard state, while each PlanClient's
+// reader thread, the servers' handler threads, and the shared cache/pool
+// all race here if they can.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -136,16 +136,8 @@ TEST(Wire, RunAndBatchRoundTrip) {
   EXPECT_EQ(run_back.iterations, 1234);
   EXPECT_TRUE(run_back.opts.pin_threads);
   EXPECT_EQ(run_back.opts.work_per_cycle, 7);
-
-  wire::RunBatchRequest batch;
-  batch.items = {run, run};
-  batch.items[1].program_id = 100;
-  batch.concurrency = 3;
-  const wire::RunBatchRequest batch_back =
-      wire::decode_run_batch(wire::encode_run_batch(batch));
-  ASSERT_EQ(batch_back.items.size(), 2u);
-  EXPECT_EQ(batch_back.items[1].program_id, 100u);
-  EXPECT_EQ(batch_back.concurrency, 3u);
+  // A batch is N pipelined Run frames; there is no batch frame to
+  // round-trip (the test name predates its retirement).
 }
 
 TEST(Wire, ResultAndStatsRoundTrip) {
@@ -156,14 +148,6 @@ TEST(Wire, ResultAndStatsRoundTrip) {
       wire::decode_run_reply(wire::encode_run_reply(r));
   EXPECT_EQ(r_back.values, r.values);
   EXPECT_EQ(r_back.wall_seconds, 0.125);
-
-  wire::RunBatchReply br;
-  br.results = {r, r};
-  br.wall_seconds = 1.5;
-  const wire::RunBatchReply br_back =
-      wire::decode_run_batch_reply(wire::encode_run_batch_reply(br));
-  ASSERT_EQ(br_back.results.size(), 2u);
-  EXPECT_EQ(br_back.results[1].values, r.values);
 
   wire::StatsReply s;
   s.cache.hits = 10;
@@ -302,8 +286,6 @@ TEST(Wire, RandomGarbagePayloadsNeverCrashTheDecoders) {
     poke([](const auto& p) { return wire::decode_submit_program_reply(p); });
     poke([](const auto& p) { return wire::decode_run(p); });
     poke([](const auto& p) { return wire::decode_run_reply(p); });
-    poke([](const auto& p) { return wire::decode_run_batch(p); });
-    poke([](const auto& p) { return wire::decode_run_batch_reply(p); });
     poke([](const auto& p) { return wire::decode_stats_reply(p); });
     poke([](const auto& p) { return wire::decode_error(p); });
   }

@@ -30,7 +30,8 @@
 //                 tcp:host:port) and run on its shared plan cache + worker
 //                 pool, so repeated invocations amortize compilation
 //                 across processes.  Applies to --run (implied when no
-//                 other mode is requested) and to --batch; results are
+//                 other mode is requested) and to --batch (a --fleet of
+//                 one endpoint, with its per-shard report); results are
 //                 still validated bit-for-bit against local sequential
 //                 execution.
 //     --fleet <shards.txt>
@@ -192,9 +193,10 @@ std::vector<std::string> read_shards_file(const std::string& path) {
 /// --batch <dir>: every *.loop file in the directory is one loop; all of
 /// them go through one PlanCache + WorkerPool concurrently (the plan
 /// service), each validated bit-for-bit against sequential execution —
-/// the same oracle --run applies per loop.  With --connect, the cache and
-/// pool are a running mimdd daemon's instead of in-process ones; with
-/// --fleet, N daemons' — each loop consistent-hashed to its shard.
+/// the same oracle --run applies per loop.  With --fleet, the cache and
+/// pool are N mimdd daemons' instead of in-process ones — each loop
+/// consistent-hashed to its shard; --connect is the same path over a
+/// fleet of one daemon.
 int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                    bool fold, bool pin, bool jit,
                    const mimd::CompileOptions& copts, bool dump_passes,
@@ -255,9 +257,12 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
   std::string workers_note;
   std::string jit_note;
   std::string fleet_report;
-  if (!fleet_file.empty()) {
+  if (!fleet_file.empty() || !connect.empty()) {
+    // One remote batch: --connect E is a fleet of one endpoint.
     ShardRouterOptions shard_opts;
-    shard_opts.endpoints = read_shards_file(fleet_file);
+    shard_opts.endpoints = fleet_file.empty()
+                               ? std::vector<std::string>{connect}
+                               : read_shards_file(fleet_file);
     shard_opts.timeout_ms = 30000;
     ShardRouter router(shard_opts);
     std::vector<ShardJob> shard_jobs;
@@ -335,8 +340,10 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                  std::to_string(jit_interp) +
                  " interpreted runs fleet-wide (" +
                  std::to_string(jit_kernels) + " kernel compiles)";
+    } else if (jit) {
+      jit_note = "no shard has jit enabled";
     }
-  } else if (connect.empty()) {
+  } else {
     PlanCache::JitConfig jit_cfg;
     jit_cfg.enabled = jit;
     PlanCache cache(PlanCache::kDefaultCapacity, jit_cfg);
@@ -367,47 +374,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                  std::to_string(jobs.size()) + " loops ran native (" +
                  std::to_string(js.jit_compiles) + " kernel compiles, " +
                  std::to_string(js.jit_failures) + " failed)";
-    }
-  } else {
-    PlanClient client = PlanClient::connect(connect);
-    // Pipelined submits: every program goes out back-to-back and the
-    // daemon overlaps the compiles; the ids are gathered in order.
-    std::vector<std::future<wire::SubmitProgramReply>> subs;
-    subs.reserve(jobs.size());
-    for (const BatchJob& job : jobs) {
-      subs.push_back(
-          client.submit_program_async(job.program, job.graph, job.copts));
-    }
-    std::vector<wire::RunRequest> items;
-    items.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      wire::RunRequest item;
-      item.program_id = subs[i].get().program_id;
-      item.iterations = jobs[i].iterations;
-      item.opts.pin_threads = pin;
-      items.push_back(item);
-    }
-    wire::RunBatchReply reply = client.run_batch(items);
-    if (reply.results.size() != jobs.size()) {
-      // Never index a daemon reply on faith: a version-mismatched or
-      // buggy server must fail loudly, not out-of-bounds.
-      std::cerr << "mimdc: daemon returned " << reply.results.size()
-                << " results for " << jobs.size() << " jobs\n";
-      return 1;
-    }
-    const wire::StatsReply stats = client.stats();
-    results = std::move(reply.results);
-    cache_stats = stats.cache;  // daemon-wide, cumulative across clients
-    wall_seconds = reply.wall_seconds;
-    workers_note = std::to_string(stats.pool_workers) +
-                   " daemon workers via " + connect;
-    if (stats.jit_enabled != 0) {
-      jit_note = std::to_string(stats.jit_native_runs) + " native / " +
-                 std::to_string(stats.jit_interpreted_runs) +
-                 " interpreted runs daemon-wide (" +
-                 std::to_string(stats.jit_compiles) + " kernel compiles)";
-    } else if (jit) {
-      jit_note = "daemon has jit disabled";
     }
   }
 
