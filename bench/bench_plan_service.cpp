@@ -16,10 +16,6 @@
 //                               small n;
 //  * Run_Pooled               — a reused plan's run on a warm pool
 //                               (plan construction excluded);
-//  * Run_PooledPinned         — affinity pinning on top of the pool
-//                               (RunOptions::pin_threads; on one-core CI
-//                               containers this measures overhead, not
-//                               placement benefit);
 //  * Batch_Throughput         — run_batch() end to end: 24 requests over
 //                               3 distinct structures, 4 concurrent
 //                               drivers, one cache + one pool;
@@ -145,22 +141,6 @@ void BM_Run_Pooled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Run_Pooled)->UseRealTime()->Unit(benchmark::kMicrosecond);
-
-void BM_Run_PooledPinned(benchmark::State& state) {
-  const ExecutorPlan& plan = fig7_plan();
-  Fig7Request& f = fig7_request();
-  static WorkerPool pool;
-  RunOptions opts;
-  opts.pool = &pool;
-  opts.pin_threads = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.run(f.n, opts));
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["affinity"] =
-      benchmark::Counter(affinity_supported() ? 1.0 : 0.0);
-}
-BENCHMARK(BM_Run_PooledPinned)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // ---- JIT A/B: native kernel vs interpreted plan, same request. ----
 

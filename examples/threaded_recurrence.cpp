@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
               prog.count(Op::Kind::Send));
 
   const ExecutionResult seq = run_reference(g, n, kernel);
-  const ExecutionResult par = run_threaded(prog, g, n, kernel);
+  const ExecutionResult par = compile(prog, g).run(n, kernel);
 
   // Bitwise validation of every computed value.
   std::size_t checked = 0;

@@ -177,13 +177,13 @@ void emit_kernel_combine(std::ostringstream& out, const Ddg& g, NodeId v,
 
 /// One compiled op as C.  `iter_expr` is the op's iteration as a C
 /// expression — a literal in straight-line code, `(base + r * shift)` in a
-/// rolled steady state.  In shared-object mode (`shared`) computed values
-/// go to the caller's row-major matrix through the per-call context, and
-/// InitialValue operands that carry the library's default pre-loop value
-/// load from the caller's init vector instead of being baked as literals.
+/// rolled steady state.  Computed values go to the caller's row-major
+/// matrix through the per-call context, and InitialValue operands that
+/// carry the library's default pre-loop value load from the caller's init
+/// vector instead of being baked as literals.
 void emit_op(std::ostringstream& out, const CompiledThread& t,
              const CompiledOp& op, const Ddg& g,
-             const std::string& iter_expr, const char* note, bool shared) {
+             const std::string& iter_expr, const char* note) {
   switch (op.kind) {
     case CompiledOp::Kind::Compute: {
       out << "  { /* " << g.node(op.node).name << "[" << iter_expr << "]"
@@ -212,7 +212,7 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
             const auto& ins = g.in_edges(op.node);
             const NodeId src =
                 j < ins.size() ? g.edge(ins[j]).src : NodeId{0};
-            if (shared && j < ins.size() &&
+            if (j < ins.size() &&
                 std::bit_cast<std::uint64_t>(r.initial) ==
                     std::bit_cast<std::uint64_t>(initial_value(src))) {
               out << "init[" << src << "];\n";
@@ -226,11 +226,7 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
       }
       emit_kernel_combine(out, g, op.node, "i", "    ", operand_exprs);
       out << "    s[" << op.slot << "] = acc;\n";
-      if (shared) {
-        out << "    k->R[" << op.node << "LL * k->n + i] = acc;\n  }\n";
-      } else {
-        out << "    R[" << op.node << "][i] = acc;\n  }\n";
-      }
+      out << "    k->R[" << op.node << "LL * k->n + i] = acc;\n  }\n";
       break;
     }
     case CompiledOp::Kind::Send:
@@ -241,137 +237,102 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
   }
 }
 
+/// The standalone program's sequential reference: same kernel, same fold
+/// order, node order from the library's own intra-iteration topological
+/// sort, values in SEQ[v][i].
+void emit_sequential(std::ostringstream& out, const Ddg& g) {
+  out << "/* SEQ[v][i]: the in-program sequential recompute. */\n"
+      << "static double SEQ[NODES][N];\n\n"
+      << "static void sequential(void) {\n"
+      << "  for (long long i = 0; i < N; ++i) {\n";
+  for (const NodeId v : topo_order_intra(g)) {
+    std::vector<std::string> operand_exprs;
+    for (const EdgeId eid : g.in_edges(v)) {
+      const Edge& e = g.edge(eid);
+      std::ostringstream expr;
+      expr << "(i - " << e.distance << " < 0 ? "
+           << fmt_double(initial_value(e.src)) << " : SEQ[" << e.src
+           << "][i - " << e.distance << "])";
+      operand_exprs.push_back(expr.str());
+    }
+    out << "    {\n";
+    emit_kernel_combine(out, g, v, "i", "      ", operand_exprs);
+    out << "      SEQ[" << v << "][i] = acc;\n    }\n";
+  }
+  out << "  }\n}\n\n";
+}
+
 }  // namespace
 
-std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
-                           const CEmitOptions& opts) {
-  // main() compares every (node, i < N) entry, so N is exactly the
-  // compiled iteration count; a program computing nothing has no N.
+std::string emit_c_kernel(const CompiledProgram& cp, const Ddg& g) {
+  // The loader's handshake and the standalone driver both range over
+  // exactly the compiled iterations; a program computing nothing has no N.
   MIMD_EXPECTS(cp.iterations >= 1);
-  const std::int64_t iterations = cp.iterations;
   const std::size_t nchans = cp.channels.size();
   const std::size_t nthreads = cp.threads.size();
-  const bool shared = opts.shared_object;
-  // A loadable kernel has no main() to self-check in; its loader
-  // (runtime/jit_compiler.cpp) validates differentially instead.
-  const bool self_check = opts.self_check && !shared;
 
   std::ostringstream out;
-  out << "/* Generated by mimd-pattern-sched: partitioned MIMD loop"
-      << (shared ? " (loadable kernel)" : "") << ".\n"
+  out << "/* Generated by mimd-pattern-sched: partitioned MIMD loop "
+         "(loadable kernel).\n"
       << " * Lowered from the same CompiledProgram the in-process executor\n"
       << " * runs: per-thread slot arrays ("
       << cp.total_slots() << " slots total, " << cp.total_slots_ssa()
-      << " before liveness reuse) and lock-free C11 SPSC value rings.\n";
-  if (shared) {
-    out << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
-        << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a per-call\n"
-        << " * context (init[v] is node v's pre-loop value; node v,\n"
-        << " * iteration i lands in R[v * n + i]), the host then enters\n"
-        << " * mimd_kernel_run_on(ctx, t) once per thread t, concurrently,\n"
-        << " * and mimd_kernel_ctx_destroy(ctx) releases it.\n"
-        << " * mimd_kernel_info is the loader's ABI handshake. */\n";
-  } else {
-    out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n";
-    if (self_check) {
-      out << " * Exit status 0 and a final \"OK\" line mean the parallel\n"
-          << " * execution matched sequential execution bit for bit. */\n";
-    } else {
-      out << " * Self-check SKIPPED (--no-check): standalone benchmark\n"
-          << " * artifact — prints parallel wall time and a result fold;\n"
-          << " * validate the loop once with the checking emission first. "
-             "*/\n";
-    }
-  }
-  if (shared) {
-    out << "#include <sched.h>\n"
-        << "#include <stdlib.h>\n";
-  } else {
-    out << "#include <pthread.h>\n"
-        << "#include <sched.h>\n"
-        << "#include <stdio.h>\n";
-    if (!self_check) {
-      out << "#include <time.h>\n";
-    }
-  }
-  out << "#include <stdatomic.h>\n";
-  out << "\n#define N " << iterations << "LL\n"
+      << " before liveness reuse) and lock-free C11 SPSC value rings.\n"
+      << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
+      << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a per-call\n"
+      << " * context (init[v] is node v's pre-loop value; node v,\n"
+      << " * iteration i lands in R[v * n + i]), the host then enters\n"
+      << " * mimd_kernel_run_on(ctx, t) once per thread t, concurrently,\n"
+      << " * and mimd_kernel_ctx_destroy(ctx) releases it.\n"
+      << " * mimd_kernel_info is the loader's ABI handshake. */\n"
+      << "#include <sched.h>\n"
+      << "#include <stdlib.h>\n"
+      << "#include <stdatomic.h>\n"
+      << "\n#define N " << cp.iterations << "LL\n"
       << "#define NODES " << g.num_nodes() << "\n\n";
-  if (!shared) {
-    if (self_check) {
-      out << "/* R[v][i]: written only by the thread computing (v, i);\n"
-          << " * SEQ[v][i]: the in-program sequential recompute. */\n"
-          << "static double R[NODES][N];\n"
-          << "static double SEQ[NODES][N];\n\n";
-    } else {
-      out << "/* R[v][i]: written only by the thread computing (v, i). */\n"
-          << "static double R[NODES][N];\n\n";
-    }
-  }
 
   emit_channel_runtime(out);
 
-  if (shared) {
-    // Per-call context: channel rings (storage + cursors) and the
-    // caller's buffers.  calloc-zeroed state is exactly the valid empty-
-    // ring state the static emission relies on, and heap-allocating it
-    // per call makes one loaded kernel reentrant.
-    out << "/* Per-call context: every piece of mutable state, so one\n"
-        << " * loaded kernel can serve concurrent invocations. */\n"
-        << "typedef struct {\n";
-    for (std::size_t c = 0; c < nchans; ++c) {
-      const ChannelDesc& d = cp.channels[c];
-      out << "  double chan" << c << "_buf[" << ring_capacity(d.messages)
-          << "]; /* edge " << d.edge << ", PE" << d.src_proc << " -> PE"
-          << d.dst_proc << ", " << d.messages << " messages */\n";
-    }
-    out << "  chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n"
-        << "  double* R;          /* caller's NODES x n row-major matrix "
-           "*/\n"
-        << "  long long n;        /* row stride (>= N) */\n"
-        << "  const double* init; /* caller's per-node pre-loop values */\n"
-        << "} kctx_t;\n\n";
-  } else {
-    // Channel storage: one static buffer per channel, sized by the shared
-    // ring_capacity policy (runtime/transport.hpp) from the channel's
-    // exact message count — the same capacity the in-process executor
-    // would give its SpscChannel for this program.
-    for (std::size_t c = 0; c < nchans; ++c) {
-      const ChannelDesc& d = cp.channels[c];
-      out << "static double chan" << c << "_buf["
-          << ring_capacity(d.messages) << "]; /* edge " << d.edge << ", PE"
-          << d.src_proc << " -> PE" << d.dst_proc << ", " << d.messages
-          << " messages */\n";
-    }
-    out << "static chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n\n";
+  // Per-call context: channel rings (storage + cursors) sized by the
+  // shared ring_capacity policy (runtime/transport.hpp) from each
+  // channel's exact message count, and the caller's buffers.  calloc-
+  // zeroed state is the valid empty-ring state, and heap-allocating it
+  // per call makes one loaded kernel reentrant.
+  out << "/* Per-call context: every piece of mutable state, so one\n"
+      << " * loaded kernel can serve concurrent invocations. */\n"
+      << "typedef struct {\n";
+  for (std::size_t c = 0; c < nchans; ++c) {
+    const ChannelDesc& d = cp.channels[c];
+    out << "  double chan" << c << "_buf[" << ring_capacity(d.messages)
+        << "]; /* edge " << d.edge << ", PE" << d.src_proc << " -> PE"
+        << d.dst_proc << ", " << d.messages << " messages */\n";
   }
+  out << "  chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n"
+      << "  double* R;          /* caller's NODES x n row-major matrix "
+         "*/\n"
+      << "  long long n;        /* row stride (>= N) */\n"
+      << "  const double* init; /* caller's per-node pre-loop values */\n"
+      << "} kctx_t;\n\n";
 
   // One function per compiled thread, each with its fixed slot array.
   for (const CompiledThread& t : cp.threads) {
-    out << "static void* pe" << t.proc << "_main(void* arg) {\n";
-    if (shared) {
-      // Local aliases keep the per-op emission textually identical to the
-      // standalone mode's file-static storage.
-      out << "  kctx_t* k = (kctx_t*)arg;\n"
-          << "  chan_t* chans = k->chans;\n"
-          << "  const double* init = k->init;\n"
-          << "  (void)chans; (void)init;\n";
-    } else {
-      out << "  (void)arg;\n";
-    }
-    out << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots)
+    out << "static void* pe" << t.proc << "_main(void* arg) {\n"
+        << "  kctx_t* k = (kctx_t*)arg;\n"
+        << "  chan_t* chans = k->chans;\n"
+        << "  const double* init = k->init;\n"
+        << "  (void)chans; (void)init;\n"
+        << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots)
         << "]; /* " << t.num_slots_ssa << " values, " << t.num_slots
         << " after liveness reuse */\n";
     const auto shape = detect_period(t);
     if (!shape.has_value()) {
       for (const CompiledOp& op : t.ops) {
-        emit_op(out, t, op, g, std::to_string(op.iter), "", shared);
+        emit_op(out, t, op, g, std::to_string(op.iter), "");
       }
     } else {
       // Prologue, straight-line.
       for (std::size_t j = 0; j < shape->prologue; ++j) {
-        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "",
-                shared);
+        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "");
       }
       // Steady state, rolled: the paper's per-processor subloop.
       out << "  for (long long r = 0; r < " << shape->reps
@@ -382,7 +343,7 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
         const CompiledOp& op = t.ops[j];
         const std::string expr = "(" + std::to_string(op.iter) + " + r * " +
                                  std::to_string(shape->iter_shift) + ")";
-        emit_op(out, t, op, g, expr, " (rolled)", shared);
+        emit_op(out, t, op, g, expr, " (rolled)");
       }
       out << "  }\n";
       // Epilogue, straight-line (empty when the run divides evenly).
@@ -390,125 +351,155 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
                            static_cast<std::size_t>(shape->reps) *
                                shape->period;
            j < t.ops.size(); ++j) {
-        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "",
-                shared);
+        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "");
       }
     }
     out << "  return 0;\n}\n\n";
   }
 
-  if (shared) {
-    // Loadable-kernel entry points: the ABI handshake constant and the
-    // entry functions the loader dlsym()s.  Symbols are exported by
-    // default in a plain -shared build; the file is C, so no mangling.
-    // The host allocates one context per run, enters run_on once per
-    // compiled thread on its own (pooled) workers — all ids concurrently,
-    // the PE bodies rendezvous through the ctx's rings — then destroys
-    // the context.
-    out << "/* ABI handshake for the loader: version, result rows,\n"
-        << " * compiled iteration count, thread count. */\n"
-        << "typedef struct {\n"
-        << "  long long abi_version;\n"
-        << "  long long nodes;\n"
-        << "  long long iterations;\n"
-        << "  long long threads;\n"
-        << "} mimd_kernel_info_t;\n"
-        << "const mimd_kernel_info_t mimd_kernel_info = {2, NODES, N, "
-        << nthreads << "};\n\n"
-        << "/* ABI v2 entries: the caller owns the thread team. */\n"
-        << "void* mimd_kernel_ctx_create(long long n, const double* init, "
-           "double* R) {\n"
-        << "  if (n < N || !init || !R) return 0;\n"
-        << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
-        << "  if (!k) return 0; /* zeroed = valid empty-ring state */\n";
-    for (std::size_t c = 0; c < nchans; ++c) {
-      out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n"
-          << "  k->chans[" << c << "].mask = "
-          << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
-    }
-    out << "  k->R = R;\n"
-        << "  k->n = n;\n"
-        << "  k->init = init;\n"
-        << "  return k;\n}\n\n"
-        << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
-        << "  kctx_t* k = (kctx_t*)ctx;\n"
-        << "  if (!k || thread_id < 0 || thread_id >= " << nthreads
-        << ") return 1;\n"
-        << "  switch (thread_id) {\n";
-    for (std::size_t i = 0; i < nthreads; ++i) {
-      // run_on indexes compiled threads in program order; the PE number
-      // in the function name is diagnostic only.
-      out << "  case " << i << ": pe" << cp.threads[i].proc
-          << "_main(k); break;\n";
-    }
-    out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
-        << "void mimd_kernel_ctx_destroy(void* ctx) {\n"
-        << "  free(ctx);\n}\n";
-    return out.str();
-  }
-
-  if (self_check) {
-    // Sequential reference: same kernel, same fold order, node order from
-    // the library's own intra-iteration topological sort.
-    out << "static void sequential(void) {\n"
-        << "  for (long long i = 0; i < N; ++i) {\n";
-    for (const NodeId v : topo_order_intra(g)) {
-      std::vector<std::string> operand_exprs;
-      for (const EdgeId eid : g.in_edges(v)) {
-        const Edge& e = g.edge(eid);
-        std::ostringstream expr;
-        expr << "(i - " << e.distance << " < 0 ? "
-             << fmt_double(initial_value(e.src)) << " : SEQ[" << e.src
-             << "][i - " << e.distance << "])";
-        operand_exprs.push_back(expr.str());
-      }
-      out << "    {\n";
-      emit_kernel_combine(out, g, v, "i", "      ", operand_exprs);
-      out << "      SEQ[" << v << "][i] = acc;\n    }\n";
-    }
-    out << "  }\n}\n\n";
-  }
-
-  out << "int main(void) {\n";
+  // Entry points: the ABI handshake constant and the entry functions the
+  // loader dlsym()s.  Symbols are exported by default in a plain -shared
+  // build; the file is C, so no mangling.  The host allocates one context
+  // per run, enters run_on once per compiled thread on its own (pooled)
+  // workers — all ids concurrently, the PE bodies rendezvous through the
+  // ctx's rings — then destroys the context.
+  out << "/* ABI handshake for the loader: version, result rows,\n"
+      << " * compiled iteration count, thread count. */\n"
+      << "typedef struct {\n"
+      << "  long long abi_version;\n"
+      << "  long long nodes;\n"
+      << "  long long iterations;\n"
+      << "  long long threads;\n"
+      << "} mimd_kernel_info_t;\n"
+      << "const mimd_kernel_info_t mimd_kernel_info = {2, NODES, N, "
+      << nthreads << "};\n\n"
+      << "/* ABI v2 entries: the caller owns the thread team. */\n"
+      << "void* mimd_kernel_ctx_create(long long n, const double* init, "
+         "double* R) {\n"
+      << "  if (n < N || !init || !R) return 0;\n"
+      << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
+      << "  if (!k) return 0; /* zeroed = valid empty-ring state */\n";
   for (std::size_t c = 0; c < nchans; ++c) {
-    out << "  chans[" << c << "].buf = chan" << c << "_buf;\n"
-        << "  chans[" << c << "].mask = "
+    out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n"
+        << "  k->chans[" << c << "].mask = "
         << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
   }
-  out << "  pthread_t th[" << (nthreads == 0 ? 1 : nthreads) << "];\n"
-      << "  int t = 0;\n";
-  if (!self_check) {
+  out << "  k->R = R;\n"
+      << "  k->n = n;\n"
+      << "  k->init = init;\n"
+      << "  return k;\n}\n\n"
+      << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
+      << "  kctx_t* k = (kctx_t*)ctx;\n"
+      << "  if (!k || thread_id < 0 || thread_id >= " << nthreads
+      << ") return 1;\n"
+      << "  switch (thread_id) {\n";
+  for (std::size_t i = 0; i < nthreads; ++i) {
+    // run_on indexes compiled threads in program order; the PE number in
+    // the function name is diagnostic only.
+    out << "  case " << i << ": pe" << cp.threads[i].proc
+        << "_main(k); break;\n";
+  }
+  out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
+      << "void mimd_kernel_ctx_destroy(void* ctx) {\n"
+      << "  free(ctx);\n}\n";
+  return out.str();
+}
+
+std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
+                           const CEmitOptions& opts) {
+  std::ostringstream out;
+  out << emit_c_kernel(cp, g);
+  out << "\n/* Standalone driver: the kernel above, run as a program.\n"
+      << " * Build this whole file: cc -O2 -std=c11 -pthread this_file.c\n"
+      << " * main() wires one context over a zeroed NODES x N result\n"
+      << " * matrix, enters mimd_kernel_run_on once per compiled thread on\n"
+      << " * a pthread of its own, joins them, and then ";
+  if (opts.self_check) {
+    out << "recomputes every\n"
+        << " * value sequentially: exit status 0 and a final \"OK\" line\n"
+        << " * mean the parallel run matched bit for bit. */\n";
+  } else {
+    out << "prints the wall time of\n"
+        << " * the parallel section and a fold of every computed value\n"
+        << " * (self-check skipped: validate the loop once with the\n"
+        << " * checking emission first). */\n";
+  }
+  out << "#include <pthread.h>\n"
+      << "#include <stdio.h>\n";
+  if (!opts.self_check) out << "#include <time.h>\n";
+  out << "\ntypedef struct {\n"
+      << "  void* ctx;\n"
+      << "  long long id;\n"
+      << "} drv_thread_t;\n\n"
+      << "static void* drv_thread(void* p) {\n"
+      << "  drv_thread_t* a = (drv_thread_t*)p;\n"
+      << "  mimd_kernel_run_on(a->ctx, a->id);\n"
+      << "  return 0;\n}\n\n";
+  if (opts.self_check) emit_sequential(out, g);
+
+  // The library's default pre-loop values, as round-tripping literals.
+  out << "static const double INIT[NODES] = {";
+  for (std::size_t v = 0; v < g.num_nodes(); ++v) {
+    out << (v % 8 == 0 ? "\n  " : " ")
+        << fmt_double(initial_value(static_cast<NodeId>(v))) << ",";
+  }
+  out << "\n};\n\n"
+      << "int main(void) {\n"
+      << "  const long long threads = mimd_kernel_info.threads;\n"
+      << "  double* R = (double*)calloc((size_t)NODES * (size_t)N, "
+         "sizeof(double));\n"
+      << "  drv_thread_t* arg =\n"
+      << "      (drv_thread_t*)calloc((size_t)threads, sizeof(drv_thread_t));\n"
+      << "  pthread_t* th = (pthread_t*)calloc((size_t)threads, "
+         "sizeof(pthread_t));\n"
+      << "  void* ctx = R ? mimd_kernel_ctx_create(N, INIT, R) : 0;\n"
+      << "  if (!arg || !th || !ctx) {\n"
+      << "    printf(\"SETUP FAILED\\n\");\n"
+      << "    return 1;\n"
+      << "  }\n";
+  if (!opts.self_check) {
     out << "  struct timespec t0, t1;\n"
         << "  clock_gettime(CLOCK_MONOTONIC, &t0);\n";
   }
-  for (const CompiledThread& t : cp.threads) {
-    out << "  pthread_create(&th[t++], 0, pe" << t.proc << "_main, 0);\n";
+  // A thread that cannot start leaves its peers blocked on their rings,
+  // so a failed create ends the process instead of joining.
+  out << "  for (long long t = 0; t < threads; ++t) {\n"
+      << "    arg[t].ctx = ctx;\n"
+      << "    arg[t].id = t;\n"
+      << "    if (pthread_create(&th[t], 0, drv_thread, &arg[t]) != 0) {\n"
+      << "      printf(\"PTHREAD_CREATE FAILED\\n\");\n"
+      << "      return 1;\n"
+      << "    }\n"
+      << "  }\n"
+      << "  for (long long t = 0; t < threads; ++t) pthread_join(th[t], 0);\n";
+  if (!opts.self_check) {
+    out << "  clock_gettime(CLOCK_MONOTONIC, &t1);\n";
   }
-  out << "  for (int j = 0; j < t; ++j) pthread_join(th[j], 0);\n\n";
-  if (self_check) {
+  out << "  mimd_kernel_ctx_destroy(ctx);\n\n";
+  if (opts.self_check) {
     out << "  sequential();\n"
         << "  long long bad = 0;\n"
         << "  for (int v = 0; v < NODES; ++v)\n"
         << "    for (long long i = 0; i < N; ++i)\n"
-        << "      if (R[v][i] != SEQ[v][i]) ++bad;\n"
-        << "  if (bad) { printf(\"MISMATCH %lld\\n\", bad); return 1; }\n"
-        << "  printf(\"OK\\n\");\n  return 0;\n}\n";
+        << "      if (R[v * N + i] != SEQ[v][i]) ++bad;\n"
+        << "  if (bad) {\n"
+        << "    printf(\"MISMATCH %lld\\n\", bad);\n"
+        << "    return 1;\n"
+        << "  }\n"
+        << "  printf(\"OK\\n\");\n";
   } else {
-    // Standalone-benchmark epilogue: wall time around the parallel
-    // section plus a fold of every computed value, so the compiler cannot
-    // discard the work and two runs of one binary are comparable.
-    out << "  clock_gettime(CLOCK_MONOTONIC, &t1);\n"
-        << "  double secs = (double)(t1.tv_sec - t0.tv_sec) +\n"
+    // Wall time around the parallel section plus a fold of every computed
+    // value, so the compiler cannot discard the work and two runs of one
+    // binary are comparable.
+    out << "  double secs = (double)(t1.tv_sec - t0.tv_sec) +\n"
         << "                1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);\n"
         << "  double fold = 0.0;\n"
-        << "  for (int v = 0; v < NODES; ++v)\n"
-        << "    for (long long i = 0; i < N; ++i)\n"
-        << "      fold += R[v][i];\n"
+        << "  for (long long j = 0; j < NODES * N; ++j) fold += R[j];\n"
         << "  printf(\"PARALLEL %lld iterations  %.9f s  fold %.17g  "
            "(self-check skipped)\\n\",\n"
-        << "         N, secs, fold);\n"
-        << "  return 0;\n}\n";
+        << "         N, secs, fold);\n";
   }
+  out << "  return 0;\n}\n";
   return out.str();
 }
 

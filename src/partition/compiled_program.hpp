@@ -95,7 +95,7 @@ struct CompiledProgram {
   int processors = 0;               ///< of the source PartitionedProgram
   std::vector<ChannelDesc> channels;
   /// Only processors with a non-empty program; order fixes the thread
-  /// (pinning) order at compile time.
+  /// order at compile time.
   std::vector<CompiledThread> threads;
   /// 1 + the largest compute iteration — the one `n` a run of this
   /// program accepts.

@@ -54,13 +54,10 @@ void execute(const CompiledProgram& cp, const Ddg& g,
     }
   };
 
-  // One task per compiled thread, in the (pinning) order frozen at
-  // compile() time.  The rotating pinned-slice policy lives in
-  // run_indexed_gang (runtime/worker_pool.hpp), shared with the JIT's
-  // kernel dispatch so both executors place compiled thread i
-  // identically.
+  // One task per compiled thread, in the order frozen at compile() time,
+  // dispatched like the JIT's kernel threads (run_indexed_gang).
   run_indexed_gang(opts.pool != nullptr ? *opts.pool : default_worker_pool(),
-                   cp.threads.size(), opts.pin_threads,
+                   cp.threads.size(),
                    [&](std::size_t i) { worker(cp.threads[i]); });
 }
 
@@ -95,11 +92,6 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
   const auto t1 = std::chrono::steady_clock::now();
   res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
-}
-
-ExecutionResult run_threaded(const PartitionedProgram& prog, const Ddg& g,
-                             std::int64_t n, const RunOptions& opts) {
-  return compile(prog, g).run(n, opts);
 }
 
 ExecutionResult run_reference(const Ddg& g, std::int64_t n,

@@ -50,14 +50,6 @@ struct RunOptions {
   /// default_worker_pool().  Non-owning; the pool must outlive the run.
   /// Results are bit-identical on any pool.
   WorkerPool* pool = nullptr;
-  /// Pin each compiled thread i to CPU ((slice + i) mod allowed CPUs) for
-  /// the duration of the run — the compiled thread order was frozen at
-  /// compile() time for exactly this, and the per-run rotating slice
-  /// gives concurrent pinned runs disjoint CPU ranges instead of stacking
-  /// them all on the first cores.  Masks are restored after the run;
-  /// silently a no-op where unsupported (affinity_supported()).  A
-  /// placement hint only: results are bit-identical pinned or not.
-  bool pin_threads = false;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(google-explicit-constructor) — existing call sites pass
@@ -100,10 +92,6 @@ class ExecutorPlan {
 [[nodiscard]] ExecutorPlan compile(const PartitionedProgram& prog,
                                    const Ddg& g,
                                    const CompileOptions& copts = {});
-
-/// One-shot convenience: compile(prog, g).run(n, opts).
-ExecutionResult run_threaded(const PartitionedProgram& prog, const Ddg& g,
-                             std::int64_t n, const RunOptions& opts = {});
 
 /// Convenience: sequential reference on the same KernelOptions, timed.
 ExecutionResult run_reference(const Ddg& g, std::int64_t n,

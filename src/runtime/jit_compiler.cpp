@@ -173,7 +173,7 @@ std::string jit_unavailable_reason(const JitOptions&) {
 
 JitKernel::~JitKernel() = default;
 
-ExecutionResult JitKernel::run(std::int64_t, WorkerPool*, bool) const {
+ExecutionResult JitKernel::run(std::int64_t, WorkerPool*) const {
   throw JitError(MIMD_JIT_DISABLED_REASON);
 }
 
@@ -224,8 +224,7 @@ ExecutionResult unpack_flat(const std::vector<double>& flat,
 
 }  // namespace
 
-ExecutionResult JitKernel::run(std::int64_t n, WorkerPool* pool,
-                               bool pin_threads) const {
+ExecutionResult JitKernel::run(std::int64_t n, WorkerPool* pool) const {
   MIMD_EXPECTS(n == iterations_);
   const std::vector<double> init = kernel_init_vector(nodes_);
   // Zero-filled flat matrix: entries no processor computes stay 0.0,
@@ -237,13 +236,12 @@ ExecutionResult JitKernel::run(std::int64_t n, WorkerPool* pool,
     throw JitError("native kernel rejected ctx_create");
   }
   // One gang, one task per compiled thread, placed exactly like an
-  // interpreted run: pool workers, rotating pinned CPU slices when
-  // requested.  Tasks must not throw on pool threads, so per-thread
+  // interpreted run.  Tasks must not throw on pool threads, so per-thread
   // failures are collected and raised after the gang finishes.
   std::atomic<int> bad{0};
   const auto t0 = std::chrono::steady_clock::now();
   run_indexed_gang(pool != nullptr ? *pool : default_worker_pool(),
-                   static_cast<std::size_t>(threads_), pin_threads,
+                   static_cast<std::size_t>(threads_),
                    [&](std::size_t i) {
                      if (run_on_(ctx, static_cast<long long>(i)) != 0) {
                        bad.fetch_add(1, std::memory_order_relaxed);
@@ -264,11 +262,7 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
   const ProbeResult& probe = probe_toolchain(opts);
   if (!probe.ok) throw JitError(probe.reason);
 
-  CEmitOptions eopts;
-  eopts.shared_object = true;
-  eopts.self_check = false;
-  const std::string source = emit_c_program(plan.program(), plan.graph(),
-                                            eopts);
+  const std::string source = emit_c_kernel(plan.program(), plan.graph());
 
   ScratchFiles f;
   const std::string stem = scratch_stem();

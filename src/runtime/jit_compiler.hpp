@@ -1,6 +1,6 @@
 // JIT-compiled native plans: the C backend (partition/c_codegen.hpp,
-// CEmitOptions::shared_object) re-emits a CompiledProgram as a loadable
-// shared-object kernel, the system toolchain compiles it (`cc -O2 -shared
+// emit_c_kernel) emits a CompiledProgram as a loadable shared-object
+// kernel, the system toolchain compiles it (`cc -O2 -shared
 // -fPIC -pthread`), and dlopen() turns it into per-thread entry points the
 // serving stack runs on its WorkerPool instead of interpreting CompiledOps
 // per iteration.  EXPERIMENTS.md's interpreted-vs-generated-C gap becomes a
@@ -74,14 +74,13 @@ class JitKernel {
   /// otherwise) on `pool`'s workers — default_worker_pool() when null:
   /// one context, one gang of threads() tasks dispatched through
   /// run_indexed_gang (runtime/worker_pool.hpp), so no pthread_create
-  /// anywhere on the warm path.  `pin_threads` applies the same rotating
-  /// CPU-slice pinning as the interpreted executor.  Initial values are
-  /// the library defaults (initial_value(v)), matching the interpreted
-  /// executor; the result is bit-identical with ExecutorPlan::run on a
-  /// jit_run_eligible RunOptions.  Throws JitError if the kernel rejects
-  /// the context or a thread entry.
-  [[nodiscard]] ExecutionResult run(std::int64_t n, WorkerPool* pool = nullptr,
-                                    bool pin_threads = false) const;
+  /// anywhere on the warm path.  Initial values are the library defaults
+  /// (initial_value(v)), matching the interpreted executor; the result is
+  /// bit-identical with ExecutorPlan::run on a jit_run_eligible
+  /// RunOptions.  Throws JitError if the kernel rejects the context or a
+  /// thread entry.
+  [[nodiscard]] ExecutionResult run(std::int64_t n,
+                                    WorkerPool* pool = nullptr) const;
 
   [[nodiscard]] std::int64_t nodes() const { return nodes_; }
   [[nodiscard]] std::int64_t iterations() const { return iterations_; }
@@ -112,9 +111,6 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 
 /// True iff a native kernel computes exactly what plan.run(n, opts)
 /// would: the default kernel (work_per_cycle 0).
-/// pin_threads does not disqualify a run — a kernel executes on the
-/// caller's pool, so the rotating CPU-slice pinning applies to native
-/// runs exactly as it does to interpreted ones.
 [[nodiscard]] bool jit_run_eligible(const RunOptions& opts);
 
 /// Probe (once per cc, cached process-wide) whether this

@@ -28,6 +28,31 @@ std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
   return 0;
 }
 
+/// `e.what()`, copied under `mu`.
+std::string what_under(std::mutex& mu, const std::exception& e) {
+  const std::lock_guard<std::mutex> lk(mu);
+  return e.what();
+}
+
+/// The blocking wrappers' wait.  A failure is rethrown as a fresh
+/// exception of the same type whose message was copied under `mu`.  The
+/// reader thread may drop the last reference to the original exception,
+/// and it does so under `mu` too (Impl::finish), so the free is ordered
+/// after this thread's last read by a lock ThreadSanitizer can see.  The
+/// exception's own refcount lives in uninstrumented libstdc++, and
+/// future::get() releases the shared state before a catch runs, so
+/// neither orders it.
+template <typename T>
+T blocking_get(std::future<T> fut, std::mutex& mu) {
+  try {
+    return fut.get();
+  } catch (const RemoteError& e) {
+    throw RemoteError(what_under(mu, e));
+  } catch (const wire::WireError& e) {
+    throw wire::WireError(what_under(mu, e));
+  }
+}
+
 }  // namespace
 
 /// All connection state lives here (not in PlanClient itself) so the
@@ -56,6 +81,23 @@ struct PlanClient::Impl {
   std::string dead_reason;
   bool closing = false;
 
+  /// Complete `p` (outside mu), then drop this thread's reference to its
+  /// promise under mu.  That drop may free a failed future's exception,
+  /// and blocking_get reads the exception under mu.
+  void finish(Pending& p, wire::Frame* frame, std::exception_ptr ep) {
+    p.complete(frame, std::move(ep));
+    const std::lock_guard<std::mutex> lk(mu);
+    p.complete = nullptr;
+  }
+
+  /// finish() `p` with a fresh WireError(what).  The exception is built in
+  /// its own statement: the temporary it is copied from shares its message
+  /// buffer and must be gone before finish() publishes the exception.
+  void fail(Pending& p, const std::string& what) {
+    std::exception_ptr ep = std::make_exception_ptr(wire::WireError(what));
+    finish(p, nullptr, std::move(ep));
+  }
+
   /// Fail every outstanding future and mark the connection dead.  The
   /// reply stream is a single ordered byte sequence, so any transport
   /// fault orphans everything still in flight — typed errors, not hangs.
@@ -67,8 +109,7 @@ struct PlanClient::Impl {
       if (dead_reason.empty()) dead_reason = reason;
       orphans.swap(pending);
     }
-    const auto ep = std::make_exception_ptr(wire::WireError(reason));
-    for (auto& [id, p] : orphans) p.complete(nullptr, ep);
+    for (auto& [id, p] : orphans) fail(p, reason);
   }
 
   /// When the oldest outstanding reply exhausts its timeout_ms budget.
@@ -214,20 +255,18 @@ void PlanClient::Impl::reader_loop() {
         } catch (const wire::WireError&) {
           ep = std::current_exception();
         }
-        entry.complete(nullptr, ep);
+        finish(entry, nullptr, std::move(ep));
         continue;
       }
       if (frame->type != entry.expected) {
         // A well-framed reply of the wrong type is a protocol violation,
         // not a server-side refusal — fatal for the connection.
-        entry.complete(nullptr, std::make_exception_ptr(wire::WireError(
-                                    "unexpected reply frame type " +
-                                    std::to_string(static_cast<int>(
-                                        frame->type)))));
+        fail(entry, "unexpected reply frame type " +
+                        std::to_string(static_cast<int>(frame->type)));
         fail_all("protocol violation: unexpected reply frame type");
         return;
       }
-      entry.complete(&*frame, nullptr);
+      finish(entry, &*frame, nullptr);
     }
   }
 }
@@ -274,9 +313,10 @@ PlanClient& PlanClient::operator=(PlanClient&& other) noexcept {
 bool PlanClient::connected() const { return impl_ && impl_->fd >= 0; }
 
 void PlanClient::negotiate() {
-  (void)submit_typed(wire::FrameType::Ping, wire::FrameType::Pong, {},
-                     decode_empty_reply)
-      .get();
+  (void)blocking_get(submit_typed(wire::FrameType::Ping,
+                                  wire::FrameType::Pong, {},
+                                  decode_empty_reply),
+                     impl_->mu);
 }
 
 std::string PlanClient::transport_error() const {
@@ -328,7 +368,7 @@ std::future<T> PlanClient::submit_typed(
     p.enqueued = Clock::now();
     p.complete = [prom, decode](wire::Frame* frame, std::exception_ptr ep) {
       if (ep) {
-        prom->set_exception(ep);
+        prom->set_exception(std::move(ep));
         return;
       }
       try {
@@ -357,7 +397,7 @@ std::future<T> PlanClient::submit_typed(
         mine = true;
       }
     }
-    if (mine) orphan.complete(nullptr, std::current_exception());
+    if (mine) im->finish(orphan, nullptr, std::current_exception());
   }
   return fut;
 }
@@ -378,7 +418,8 @@ std::future<wire::SubmitProgramReply> PlanClient::submit_program_async(
 wire::SubmitProgramReply PlanClient::submit_program(
     const PartitionedProgram& program, const Ddg& graph,
     const CompileOptions& copts) {
-  return submit_program_async(program, graph, copts).get();
+  return blocking_get(submit_program_async(program, graph, copts),
+                      impl_->mu);
 }
 
 std::future<ExecutionResult> PlanClient::run_async(
@@ -395,7 +436,7 @@ std::future<ExecutionResult> PlanClient::run_async(
 ExecutionResult PlanClient::run(std::uint64_t program_id,
                                 std::int64_t iterations,
                                 const wire::RemoteRunOptions& opts) {
-  return run_async(program_id, iterations, opts).get();
+  return blocking_get(run_async(program_id, iterations, opts), impl_->mu);
 }
 
 std::future<std::uint64_t> PlanClient::drop_program_async(
@@ -407,10 +448,12 @@ std::future<std::uint64_t> PlanClient::drop_program_async(
 }
 
 void PlanClient::drop_program(std::uint64_t program_id) {
-  (void)drop_program_async(program_id).get();
+  (void)blocking_get(drop_program_async(program_id), impl_->mu);
 }
 
-wire::StatsReply PlanClient::stats() { return stats_async().get(); }
+wire::StatsReply PlanClient::stats() {
+  return blocking_get(stats_async(), impl_->mu);
+}
 
 std::future<wire::StatsReply> PlanClient::stats_async() {
   return submit_typed(wire::FrameType::Stats, wire::FrameType::StatsReply, {},
@@ -418,9 +461,10 @@ std::future<wire::StatsReply> PlanClient::stats_async() {
 }
 
 void PlanClient::shutdown_server() {
-  (void)submit_typed(wire::FrameType::Shutdown, wire::FrameType::ShutdownReply,
-                     {}, decode_empty_reply)
-      .get();
+  (void)blocking_get(submit_typed(wire::FrameType::Shutdown,
+                                  wire::FrameType::ShutdownReply, {},
+                                  decode_empty_reply),
+                     impl_->mu);
 }
 
 }  // namespace mimd

@@ -81,7 +81,6 @@ class QuotaViolation : public std::runtime_error {
 
 RunOptions to_run_options(const wire::RemoteRunOptions& o) {
   RunOptions r;
-  r.pin_threads = o.pin_threads;
   r.kernel.work_per_cycle = o.work_per_cycle;
   // The pool is the server's, set by run_plan.
   return r;

@@ -81,7 +81,7 @@ ExecutionResult run_plan(const PlanJob& job, WorkerPool& pool,
   opts.pool = &pool;
   if (job.kernel && jit_run_eligible(opts)) {
     ++counters.native;
-    return job.kernel->run(n, &pool, opts.pin_threads);
+    return job.kernel->run(n, &pool);
   }
   if (job.kernel) ++counters.ineligible;
   return plan.run(n, opts);

@@ -38,7 +38,7 @@ struct BatchJob {
   /// Iterations to run: 0 or the program's own compiled count (run_plan).
   std::int64_t iterations = 0;
   CompileOptions copts;
-  /// Kernel / pinning for this job.  `pool` is overridden by run_batch —
+  /// Kernel options for this job.  `pool` is overridden by run_batch —
   /// every job runs on the shared pool.
   RunOptions ropts;
 };

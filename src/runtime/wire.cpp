@@ -212,13 +212,11 @@ ExecutionResult decode_result(Decoder& d) {
 namespace {
 
 void encode_remote_opts(Encoder& e, const RemoteRunOptions& o) {
-  e.u8(o.pin_threads ? 1 : 0);
   e.i32(o.work_per_cycle);
 }
 
 RemoteRunOptions decode_remote_opts(Decoder& d) {
   RemoteRunOptions o;
-  o.pin_threads = d.u8() != 0;
   o.work_per_cycle = d.i32();
   return o;
 }

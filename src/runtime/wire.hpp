@@ -193,7 +193,6 @@ struct SubmitProgramReply {
 /// The remotely settable subset of RunOptions.  The pool is always the
 /// server's shared pool.
 struct RemoteRunOptions {
-  bool pin_threads = false;
   int work_per_cycle = 0;
 };
 

@@ -1,104 +1,16 @@
 #include "runtime/worker_pool.hpp"
 
-#include <atomic>
-#include <cstring>
-
 #include "support/assert.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace mimd {
 
-// ---- Affinity shim ----
-
-bool affinity_supported() {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool pin_current_thread_to_cpu(unsigned cpu, CpuAffinityMask* saved) {
-#if defined(__linux__)
-  static_assert(sizeof(cpu_set_t) <= sizeof(CpuAffinityMask::bytes),
-                "CpuAffinityMask too small for this platform's cpu_set_t");
-  const unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) return false;
-  cpu_set_t prev;
-  CPU_ZERO(&prev);
-  if (pthread_getaffinity_np(pthread_self(), sizeof(prev), &prev) != 0) {
-    return false;
-  }
-  // Pin within the thread's *current* allowance: under a cgroup cpuset
-  // (containers, taskset) CPU (cpu % ncpu) may not be permitted, so pick
-  // the (cpu mod allowed)-th allowed CPU instead of failing.
-  std::vector<int> allowed;
-  for (int c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &prev)) allowed.push_back(c);
-  }
-  if (allowed.empty()) return false;
-  cpu_set_t want;
-  CPU_ZERO(&want);
-  CPU_SET(allowed[cpu % allowed.size()], &want);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(want), &want) != 0) {
-    return false;
-  }
-  if (saved != nullptr) {
-    std::memcpy(saved->bytes, &prev, sizeof(prev));
-    saved->valid = true;
-  }
-  return true;
-#else
-  (void)cpu;
-  (void)saved;
-  return false;
-#endif
-}
-
-void restore_current_thread_affinity(const CpuAffinityMask& mask) {
-#if defined(__linux__)
-  if (!mask.valid) return;
-  cpu_set_t prev;
-  std::memcpy(&prev, mask.bytes, sizeof(prev));
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(prev), &prev);
-#else
-  (void)mask;
-#endif
-}
-
-namespace {
-
-/// Rotating base CPU for pinned gangs (one counter for the whole
-/// process): each pinned gang claims a contiguous slice of gang-width
-/// CPUs, so concurrent pinned gangs spread across the allowed set.
-std::atomic<unsigned> pin_slice{0};
-
-}  // namespace
-
-unsigned claim_pin_slice(unsigned width) {
-  return pin_slice.fetch_add(width, std::memory_order_relaxed);
-}
-
-void run_indexed_gang(WorkerPool& pool, std::size_t count, bool pin,
+void run_indexed_gang(WorkerPool& pool, std::size_t count,
                       const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
-  const unsigned slice =
-      pin ? claim_pin_slice(static_cast<unsigned>(count)) : 0;
   std::vector<std::function<void()>> tasks;
   tasks.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    tasks.emplace_back([&body, pin, slice, i] {
-      CpuAffinityMask saved;
-      const bool pinned =
-          pin && pin_current_thread_to_cpu(
-                     slice + static_cast<unsigned>(i), &saved);
-      body(i);
-      if (pinned) restore_current_thread_affinity(saved);
-    });
+    tasks.emplace_back([&body, i] { body(i); });
   }
   pool.run_gang(std::move(tasks));
 }

@@ -26,13 +26,6 @@
 // claimed (the front one), every fully claimed gang is self-contained
 // and finishes, and its freed workers then complete the front gang's
 // claim — no circular wait, for any mix of concurrent run_gang() callers.
-//
-// CPU-affinity pinning rides on the pool: the compiled thread order was
-// frozen at compile() time precisely so thread i of a plan can be bound to
-// CPU (i mod cores) run after run (RunOptions::pin_threads).  The Linux
-// implementation uses pthread_setaffinity_np behind the portable shim below;
-// elsewhere pinning degrades to a no-op and pin_current_thread_to_cpu reports
-// false.
 #pragma once
 
 #include <condition_variable>
@@ -47,45 +40,13 @@
 
 namespace mimd {
 
-/// Opaque saved affinity mask, sized for Linux's cpu_set_t (1024 CPUs).
-/// Valid only after a successful pin_current_thread_to_cpu(..., &saved).
-struct CpuAffinityMask {
-  unsigned char bytes[128] = {};
-  bool valid = false;
-};
-
-/// True when this platform can pin threads to CPUs (Linux).
-[[nodiscard]] bool affinity_supported();
-
-/// Pin the calling thread to CPU `cpu % hardware_concurrency`, saving the
-/// previous mask into `*saved` (when non-null) for restoration.  Returns
-/// false — leaving the thread untouched — on unsupported platforms or if
-/// the syscall fails (e.g. a cgroup cpuset excluding that CPU).
-bool pin_current_thread_to_cpu(unsigned cpu, CpuAffinityMask* saved);
-
-/// Restore a mask saved by pin_current_thread_to_cpu.  No-op when
-/// !mask.valid.  Pool workers restore after every pinned gang so a later
-/// unpinned run on the same worker is not silently confined.
-void restore_current_thread_affinity(const CpuAffinityMask& mask);
-
-/// Claim a contiguous slice of `width` CPUs from the process-wide
-/// rotating base every pinned gang draws from — the interpreted executor
-/// and pooled native kernels share one counter, so concurrent pinned
-/// runs of either kind get disjoint CPU ranges (mod the allowed set)
-/// instead of all stacking onto CPUs 0..width-1.  Pin task i of the gang
-/// to CPU (returned base + i).
-[[nodiscard]] unsigned claim_pin_slice(unsigned width);
-
 class WorkerPool;
 
 /// Run `count` indexed tasks as one gang on `pool`'s workers, returning
-/// when all have finished.  With `pin`, each task's executing thread is
-/// pinned to CPU (slice + i) for the task's duration (one
-/// claim_pin_slice(count) per call) and the previous mask is restored
-/// afterwards.  This is the one gang + pinning policy shared by the
+/// when all have finished.  This is the one gang dispatch shared by the
 /// interpreted executor and the JIT's kernel dispatch.  `body(i)` must
 /// not throw.
-void run_indexed_gang(WorkerPool& pool, std::size_t count, bool pin,
+void run_indexed_gang(WorkerPool& pool, std::size_t count,
                       const std::function<void(std::size_t)>& body);
 
 /// The process-default pool that runs every gang whose caller brings no

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/doacross.hpp"
 #include "partition/c_codegen.hpp"
@@ -246,9 +248,37 @@ TEST(CCodegen, RingCapacitiesFollowTheSharedPolicy) {
   ASSERT_FALSE(cp.channels.empty());
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
     const std::string decl =
-        "static double chan" + std::to_string(c) + "_buf[" +
-        std::to_string(ring_capacity(cp.channels[c].messages)) + "]";
+        "  double chan" + std::to_string(c) + "_buf[" +
+        std::to_string(ring_capacity(cp.channels[c].messages)) + "];";
     EXPECT_NE(src.find(decl), std::string::npos) << decl;
+  }
+}
+
+// One emitted artifact: the standalone program is the loadable kernel the
+// JIT dlopen()s, verbatim, followed by a driver — so every compile-and-run
+// test above also runs the JIT's code.
+TEST(CCodegen, ProgramIsTheKernelFollowedByADriver) {
+  const Ddg fig7 = workloads::fig7_loop();
+  const Ddg elliptic = workloads::elliptic_filter_loop();
+  const testsupport::GeneratedLoop gl = testsupport::generate_loop(11);
+  const std::vector<std::pair<CompiledProgram, const Ddg*>> cases = {
+      {pattern_compiled(fig7, Machine{2, 2}, 40), &fig7},
+      {pattern_compiled(elliptic, Machine{4, 2}, 32), &elliptic},
+      {compile_program(gl.program, gl.graph), &gl.graph},
+  };
+  for (const auto& [cp, g] : cases) {
+    const std::string kernel = emit_c_kernel(cp, *g);
+    for (const bool check : {true, false}) {
+      CEmitOptions opts;
+      opts.self_check = check;
+      const std::string program = emit_c_program(cp, *g, opts);
+      ASSERT_GT(program.size(), kernel.size());
+      EXPECT_EQ(program.compare(0, kernel.size(), kernel), 0)
+          << "self_check=" << check;
+      EXPECT_EQ(program.find("mimd_kernel_info_t", kernel.size()),
+                std::string::npos)
+          << "the driver re-emits kernel code";
+    }
   }
 }
 

@@ -38,15 +38,13 @@ using testsupport::generate_loop;
     }                                                                  \
   } while (false)
 
-// The shared-object emission mode produces a loadable kernel, not a
-// program: the ABI v2 entries + ABI constant, no main, no self-check
-// recompute, and no threads of its own — the host's pool runs the PEs.
+// emit_c_kernel produces a loadable kernel, not a program: the ABI v2
+// entries + ABI constant, no main, no self-check recompute, and no
+// threads of its own — the host's pool runs the PEs.
 TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   const GeneratedLoop gl = generate_loop(2000);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
-  CEmitOptions opts;
-  opts.shared_object = true;
-  const std::string src = emit_c_program(plan.program(), gl.graph, opts);
+  const std::string src = emit_c_kernel(plan.program(), gl.graph);
   EXPECT_NE(src.find("void* mimd_kernel_ctx_create(long long n"),
             std::string::npos);
   EXPECT_NE(src.find("int mimd_kernel_run_on(void* ctx"), std::string::npos);
@@ -59,8 +57,7 @@ TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   EXPECT_EQ(src.find("SEQ"), std::string::npos);
   EXPECT_EQ(src.find("MISMATCH"), std::string::npos);
   // All mutable state lives in the per-call context, so the kernel is
-  // reentrant — no static channel rings (the standalone mode's
-  // "static double chan0_buf[...]") or result arrays.
+  // reentrant — no static channel rings or result arrays.
   EXPECT_NE(src.find("kctx_t"), std::string::npos);
   EXPECT_EQ(src.find("static double chan0_buf"), std::string::npos);
   EXPECT_EQ(src.find("static double R["), std::string::npos);
@@ -213,7 +210,7 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
 
 // The ABI v2 context lifecycle (create -> run_on xN -> destroy) under the
 // suite's sanitizer builds: repeated runs — on a caller's pool and on the
-// default pool, pinned and not — must neither leak the calloc'd context
+// default pool — must neither leak the calloc'd context
 // (ASan) nor diverge in values, and an n other than the compiled count
 // must be rejected before any context is created.
 TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
@@ -227,26 +224,18 @@ TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   const ExecutionResult first = kernel->run(gl.iterations, &pool);
   for (int round = 0; round < 8; ++round) {
     WorkerPool* p = round % 2 == 0 ? &pool : nullptr;
-    const bool pin = round % 4 < 2;
-    const ExecutionResult again = kernel->run(gl.iterations, p, pin);
+    const ExecutionResult again = kernel->run(gl.iterations, p);
     EXPECT_TRUE(values_match(again, first, gl.iterations))
-        << "round " << round << (p ? " pooled" : " default pool")
-        << (pin ? " pinned" : "");
+        << "round " << round << (p ? " pooled" : " default pool");
   }
 }
 
 // The run-site gate: only a default-shaped run (no synthetic work) may be
 // served natively — that knob changes observable behavior the kernel does
-// not implement.  Pinning is
-// not a shape question: the kernel runs on the caller's pool, so the
-// rotating CPU-slice policy applies to native runs exactly as to
-// interpreted ones.
+// not implement.
 TEST(JitCompiler, RunEligibilityGate) {
   RunOptions o;
   EXPECT_TRUE(jit_run_eligible(o));
-  o.pin_threads = true;
-  EXPECT_TRUE(jit_run_eligible(o));
-  o = RunOptions{};
   o.kernel.work_per_cycle = 8;
   EXPECT_FALSE(jit_run_eligible(o));
 }

@@ -1104,6 +1104,45 @@ TEST(PlanServer, HostileFirstFrameIsAnErrorOrADisconnectNeverAHang) {
     ::close(fd);
   }
 
+  // A Run frame in the retired 21-byte layout (u64 id | i64 iterations |
+  // u8 pin | i32 work) naming a program registered on this connection:
+  // an Error reply echoing its id, after which the same connection serves
+  // the same program through a Run in the current 20-byte layout.
+  {
+    const int fd = connect_raw(ts.server.socket_path());
+    ASSERT_GE(fd, 0);
+    wire::SubmitProgramRequest sub;
+    sub.program = gl.program;
+    sub.graph = gl.graph;
+    wire::write_frame(fd, wire::FrameType::SubmitProgram, 1,
+                      wire::encode_submit_program(sub));
+    const auto sub_reply = wire::read_frame(fd);
+    ASSERT_TRUE(sub_reply.has_value());
+    ASSERT_EQ(sub_reply->type, wire::FrameType::SubmitProgramReply);
+    const std::uint64_t raw_id =
+        wire::decode_submit_program_reply(sub_reply->payload).program_id;
+    wire::Encoder old_run;
+    old_run.u64(raw_id);
+    old_run.i64(0);
+    old_run.u8(1);  // the retired pin byte
+    old_run.i32(0);
+    wire::write_frame(fd, wire::FrameType::Run, 2, old_run.take());
+    const auto err = wire::read_frame(fd);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, wire::FrameType::Error);
+    EXPECT_EQ(err->request_id, 2u);
+    wire::RunRequest run;
+    run.program_id = raw_id;
+    wire::write_frame(fd, wire::FrameType::Run, 3, wire::encode_run(run));
+    const auto ran = wire::read_frame(fd);
+    ASSERT_TRUE(ran.has_value());
+    ASSERT_EQ(ran->type, wire::FrameType::RunReply);
+    EXPECT_EQ(ran->request_id, 3u);
+    EXPECT_TRUE(values_match(wire::decode_run_reply(ran->payload), seq,
+                             gl.iterations));
+    ::close(fd);
+  }
+
   // The old 5-byte-header opener, byte for byte (u32 len=8 | u8 type=8 |
   // u32 min=1 | u32 max=2): 13 bytes that parse as a header announcing 8
   // more payload bytes.  The server waits for them like any partial frame

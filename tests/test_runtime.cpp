@@ -26,7 +26,7 @@ void expect_threaded_matches_sequential(const Ddg& g, const Machine& m,
   const PartitionedProgram prog = lower(s, g);
   ASSERT_NO_THROW((void)compile_program(prog, g));
 
-  const ExecutionResult threaded = run_threaded(prog, g, n);
+  const ExecutionResult threaded = compile(prog, g).run(n);
   const auto reference = run_sequential(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
@@ -57,7 +57,7 @@ TEST(Runtime, FullScheduleWithFlowPoolsExecutesCorrectly) {
   const std::int64_t n = 24;
   const FullSchedResult r = full_sched(g, m, n);
   const PartitionedProgram prog = lower(r.schedule, g);
-  const ExecutionResult threaded = run_threaded(prog, g, n);
+  const ExecutionResult threaded = compile(prog, g).run(n);
   const auto reference = run_sequential(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
@@ -71,7 +71,8 @@ TEST(Runtime, DoacrossProgramExecutesCorrectly) {
   const Ddg g = workloads::cytron86_loop();
   const Machine m{4, 2};
   const DoacrossResult doa = doacross(g, m, 16);
-  const ExecutionResult threaded = run_threaded(lower(doa.schedule, g), g, 16);
+  const ExecutionResult threaded =
+      compile(lower(doa.schedule, g), g).run(16);
   const auto reference = run_sequential(g, 16);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < 16; ++i) {
@@ -105,7 +106,7 @@ TEST(Runtime, ZeroIterationsRunsCleanly) {
   empty.programs.resize(2);
   empty.programs[0].proc = 0;
   empty.programs[1].proc = 1;
-  const ExecutionResult r = run_threaded(empty, g, 0);
+  const ExecutionResult r = compile(empty, g).run(0);
   EXPECT_EQ(r.values.size(), g.num_nodes());
 }
 

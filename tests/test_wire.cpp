@@ -129,12 +129,12 @@ TEST(Wire, RunAndBatchRoundTrip) {
   wire::RunRequest run;
   run.program_id = 99;
   run.iterations = 1234;
-  run.opts.pin_threads = true;
   run.opts.work_per_cycle = 7;
-  const wire::RunRequest run_back = wire::decode_run(wire::encode_run(run));
+  const auto payload = wire::encode_run(run);
+  EXPECT_EQ(payload.size(), 20u);  // u64 id + i64 iterations + i32 work
+  const wire::RunRequest run_back = wire::decode_run(payload);
   EXPECT_EQ(run_back.program_id, 99u);
   EXPECT_EQ(run_back.iterations, 1234);
-  EXPECT_TRUE(run_back.opts.pin_threads);
   EXPECT_EQ(run_back.opts.work_per_cycle, 7);
   // A batch is N pipelined Run frames; there is no batch frame to
   // round-trip (the test name predates its retirement).
@@ -231,14 +231,15 @@ TEST(Wire, HostileCountsAndEnumsAreRejected) {
     EXPECT_THROW((void)wire::decode_submit_program(e.bytes()), WireError);
   }
   {
-    // A run request with one byte too many (here a leading options byte
-    // the format does not have) is rejected, not silently misread.
+    // The retired 21-byte run layout, with a pin byte between the
+    // iteration count and the work knob, is rejected, not silently
+    // misread as a different work value.
     Encoder e;
     e.u64(1);
     e.i64(0);
-    e.u8(99);  // no such field
-    e.u8(0);
+    e.u8(1);  // the retired pin byte
     e.i32(0);
+    ASSERT_EQ(e.bytes().size(), 21u);
     EXPECT_THROW((void)wire::decode_run(e.bytes()), WireError);
   }
   {

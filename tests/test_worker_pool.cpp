@@ -1,8 +1,7 @@
 // The plan service's pool half: gang execution, growth, concurrent gangs
 // (the FIFO-claim deadlock-freedom invariant, replayed under TSan in CI),
-// runs on a caller's pool bit-identical to runs on the process-default
-// pool, and the CPU-affinity shim behind RunOptions::pin_threads.  Tests
-// named "...Spawn..." predate the removal of spawn-per-run execution; the
+// and runs on a caller's pool bit-identical to runs on the
+// process-default pool.  Tests named "...Spawn..." predate the removal of spawn-per-run execution; the
 // default pool now stands where the spawned threads used to.
 #include <gtest/gtest.h>
 
@@ -156,10 +155,9 @@ TEST(WorkerPool, PoolLessRunsShareTheDefaultPool) {
   const std::uint64_t gangs_before = pool.gangs_run();
   // Another test in this process may already have widened the pool.
   const std::size_t workers_before = pool.num_workers();
-  const ExecutionResult first = run_threaded(
-      r.program, r.normalized.graph, r.normalized_iterations);
-  const ExecutionResult second = run_threaded(
-      r.program, r.normalized.graph, r.normalized_iterations);
+  const ExecutorPlan plan = compile(r.program, r.normalized.graph);
+  const ExecutionResult first = plan.run(r.normalized_iterations);
+  const ExecutionResult second = plan.run(r.normalized_iterations);
   EXPECT_EQ(pool.gangs_run() - gangs_before, 2u);
   EXPECT_LE(pool.num_workers(), std::max(workers_before, widest));
   expect_identical(first, second, r.normalized_iterations);
@@ -215,7 +213,7 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
 // through the context, proving run_indexed_gang co-schedules the whole
 // gang (a dispatcher running tasks one at a time would deadlock) and
 // funnels every index to its own slot exactly once, on a caller's pool
-// or the default one, pinned or not.
+// or the default one.
 TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
   constexpr std::size_t kThreads = 3;
   struct FakeCtx {
@@ -224,75 +222,25 @@ TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
   };
   WorkerPool pool;
   for (const bool use_pool : {true, false}) {
-    for (const bool pin : {false, true}) {
-      FakeCtx ctx;  // mimics mimd_kernel_ctx_create
-      run_indexed_gang(use_pool ? pool : default_worker_pool(), kThreads,
-                       pin,
-                       [&ctx](std::size_t i) {
-                         // mimics mimd_kernel_run_on(ctx, i): blocks until
-                         // every gang peer is in flight, like the real
-                         // kernel's ring handoffs.
-                         ctx.arrived.fetch_add(1);
-                         while (ctx.arrived.load() <
-                                static_cast<int>(kThreads)) {
-                           std::this_thread::yield();
-                         }
-                         ctx.runs[i].fetch_add(1);
-                       });
-      for (std::size_t i = 0; i < kThreads; ++i) {
-        EXPECT_EQ(ctx.runs[i].load(), 1)
-            << "thread " << i << (use_pool ? " pooled" : " default pool")
-            << (pin ? " pinned" : "");
-      }
+    FakeCtx ctx;  // mimics mimd_kernel_ctx_create
+    run_indexed_gang(use_pool ? pool : default_worker_pool(), kThreads,
+                     [&ctx](std::size_t i) {
+                       // mimics mimd_kernel_run_on(ctx, i): blocks until
+                       // every gang peer is in flight, like the real
+                       // kernel's ring handoffs.
+                       ctx.arrived.fetch_add(1);
+                       while (ctx.arrived.load() <
+                              static_cast<int>(kThreads)) {
+                         std::this_thread::yield();
+                       }
+                       ctx.runs[i].fetch_add(1);
+                     });
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(ctx.runs[i].load(), 1)
+          << "thread " << i << (use_pool ? " pooled" : " default pool");
     }
   }
-  EXPECT_EQ(pool.gangs_run(), 2u);  // only the use_pool rounds
-}
-
-// Concurrent pinned gangs draw disjoint rotating CPU slices from the
-// process-wide counter run_indexed_gang claims from — the same counter
-// the interpreted executor and pooled native kernels share.
-TEST(WorkerPool, PinSliceRotatesAcrossClaims) {
-  const unsigned a = claim_pin_slice(3);
-  const unsigned b = claim_pin_slice(3);
-  const unsigned c = claim_pin_slice(2);
-  EXPECT_EQ(b, a + 3);
-  EXPECT_EQ(c, b + 3);
-}
-
-// ---- Affinity pinning ----
-
-TEST(Affinity, PinAndRestoreRoundTripOnSupportedPlatforms) {
-  if (!affinity_supported()) {
-    GTEST_SKIP() << "affinity pinning unsupported on this platform";
-  }
-  CpuAffinityMask saved;
-  ASSERT_TRUE(pin_current_thread_to_cpu(0, &saved));
-  EXPECT_TRUE(saved.valid);
-  // Pinning again with a huge index wraps into the allowed set rather
-  // than failing — the shim pins within the thread's cgroup allowance.
-  EXPECT_TRUE(pin_current_thread_to_cpu(1u << 20, nullptr));
-  restore_current_thread_affinity(saved);
-}
-
-TEST(Affinity, PinnedRunsAreBitIdenticalPooledAndSpawned) {
-  const std::int64_t n = 40;
-  const ExecutorPlan plan = fig7_plan(n);
-  RunOptions plain;
-  const ExecutionResult unpinned = plan.run(n, plain);
-
-  RunOptions pinned;
-  pinned.pin_threads = true;
-  expect_identical(plan.run(n, pinned), unpinned, n);  // default pool
-
-  WorkerPool pool;
-  pinned.pool = &pool;
-  expect_identical(plan.run(n, pinned), unpinned, n);  // pool path
-  // A later unpinned pooled run still matches: workers restored their
-  // masks after the pinned gang.
-  RunOptions pooled_plain;
-  pooled_plain.pool = &pool;
-  expect_identical(plan.run(n, pooled_plain), unpinned, n);
+  EXPECT_EQ(pool.gangs_run(), 1u);  // only the use_pool round
 }
 
 }  // namespace

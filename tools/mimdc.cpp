@@ -9,9 +9,12 @@
 //     --dot       print the dependence graph (Graphviz, classified colors)
 //     --schedule  print the first cycles of the combined schedule
 //     --code      print the PARBEGIN pseudo-code        (default)
-//     --c         print a compilable C11+pthreads program (slot arrays +
-//                 SPSC rings, lowered from the same CompiledProgram --run
-//                 executes; compiled stats go to stderr)
+//     --c         print a compilable C11+pthreads program: the same
+//                 loadable kernel --jit compiles (slot arrays + SPSC
+//                 rings, lowered from the same CompiledProgram --run
+//                 executes) plus a pthreads driver that self-checks
+//                 against sequential execution; compiled stats go to
+//                 stderr
 //     --compare   print the comparison against DOACROSS
 //     --run       execute the partitioned program on real threads and
 //                 validate bit-for-bit against sequential execution
@@ -44,12 +47,6 @@
 //                 only.  After the run, prints per-shard occupancy, hit
 //                 rates, and hostile-tenant quota counters plus fleet
 //                 totals.
-//     --pin       pin compiled thread i to CPU (slice + i mod cores)
-//                 during --run/--batch execution (Linux; no-op
-//                 elsewhere).  Pinning is a run-time knob with no
-//                 meaning for emitted C, so outside --batch it always
-//                 implies --run
-
 //     --no-check  with --c: skip the emitted sequential self-validation;
 //                 the artifact becomes a standalone timing benchmark
 //     --opt=<off|O1>
@@ -110,9 +107,9 @@ namespace {
   if (msg != nullptr) std::cerr << "mimdc: " << msg << "\n";
   std::cerr << "usage: mimdc [-p N] [-k N] [-n N] [--fold] [--dot] "
                "[--schedule] [--code] [--c] [--no-check] [--compare] "
-               "[--run] [--jit] [--pin] [--connect <endpoint>] "
+               "[--run] [--jit] [--connect <endpoint>] "
                "[--opt=<off|O1>] [--dump-passes] <file|->\n"
-               "       mimdc [-p N] [-k N] [-n N] [--fold] [--jit] [--pin] "
+               "       mimdc [-p N] [-k N] [-n N] [--fold] [--jit] "
                "[--connect <endpoint> | --fleet <shards.txt>] "
                "[--opt=<off|O1>] [--dump-passes] --batch <dir>\n";
   std::exit(2);
@@ -198,7 +195,7 @@ std::vector<std::string> read_shards_file(const std::string& path) {
 /// consistent-hashed to its shard; --connect is the same path over a
 /// fleet of one daemon.
 int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
-                   bool fold, bool pin, bool jit,
+                   bool fold, bool jit,
                    const mimd::CompileOptions& copts, bool dump_passes,
                    const std::string& connect, const std::string& fleet_file) {
   using namespace mimd;
@@ -240,7 +237,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       job.graph = r.normalized.graph;
       job.iterations = r.normalized_iterations;
       job.copts = copts;
-      job.ropts.pin_threads = pin;
       jobs.push_back(std::move(job));
       std::string label = fs::path(f).filename().string();
       if (fe.strands.size() > 1) {
@@ -273,7 +269,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       sj.graph = job.graph;
       sj.copts = job.copts;
       sj.iterations = job.iterations;
-      sj.run_opts.pin_threads = pin;
       shard_jobs.push_back(std::move(sj));
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -395,7 +390,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
             << (!fleet_file.empty()
                     ? ", fleet-wide"
                     : (connect.empty() ? "" : ", daemon-wide"))
-            << "), " << workers_note << (pin ? " (pinned)" : "") << ", "
+            << "), " << workers_note << ", "
             << wall_seconds << " s total, "
             << static_cast<double>(jobs.size()) / wall_seconds
             << " loops/s\n";
@@ -412,7 +407,7 @@ int main(int argc, char** argv) {
   std::int64_t n = 64;
   bool fold = false, want_dot = false, want_sched = false, want_code = false,
        want_c = false, want_compare = false, want_run = false,
-       pin = false, no_check = false, jit = false,
+       no_check = false, jit = false,
        dump_passes = false;
   CompileOptions copts;
   copts.opt = OptLevel::O1;  // the mid-end is on by default; --opt=off
@@ -456,8 +451,6 @@ int main(int argc, char** argv) {
     } else if (a == "--fleet") {
       if (i + 1 >= argc) usage("--fleet needs a shards file");
       fleet_file = argv[++i];
-    } else if (a == "--pin") {
-      pin = true;
     } else if (a == "--jit") {
       jit = true;
     } else if (a == "--no-check") {
@@ -497,7 +490,7 @@ int main(int argc, char** argv) {
       usage("--batch is standalone (no input file or other modes)");
     }
     try {
-      return run_batch_mode(batch_dir, procs, k, n, fold, pin, jit, copts,
+      return run_batch_mode(batch_dir, procs, k, n, fold, jit, copts,
                             dump_passes, connect_path, fleet_file);
     } catch (const ir::ParseError& e) {
       std::cerr << "mimdc: " << e.what() << "\n";
@@ -512,10 +505,10 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage("no input");
-  // --pin and --jit configure only execution (emitted C has neither), so
-  // they demand a run even next to --c — never silently dropped.
-  // --connect exists only to execute remotely, so it implies --run too.
-  if (pin || jit || !connect_path.empty()) want_run = true;
+  // --jit configures only execution, so it demands a run even next to
+  // --c — never silently dropped.  --connect exists only to execute
+  // remotely, so it implies --run too.
+  if (jit || !connect_path.empty()) want_run = true;
   if (!want_dot && !want_sched && !want_code && !want_c && !want_compare &&
       !want_run) {
     want_code = true;
@@ -584,10 +577,8 @@ int main(int argc, char** argv) {
       std::cerr << "mimdc: daemon compiled " << sub.threads << " threads, "
                 << sub.channels << " channels, " << sub.slots
                 << " slots (program id " << sub.program_id << ")\n";
-      wire::RemoteRunOptions ropts;
-      ropts.pin_threads = pin;
       const ExecutionResult par =
-          client.run(sub.program_id, r.normalized_iterations, ropts);
+          client.run(sub.program_id, r.normalized_iterations);
       const ExecutionResult reference =
           run_reference(r.normalized.graph, r.normalized_iterations);
       const bool ok = values_match(par, reference, r.normalized_iterations);
@@ -627,8 +618,6 @@ int main(int argc, char** argv) {
         std::cout << emit_c_program(cp, r.normalized.graph, eopts);
       }
       if (want_run) {
-        RunOptions ropts;
-        ropts.pin_threads = pin;
         ExecutionResult par;
         bool native = false;
         if (jit) {
@@ -637,16 +626,14 @@ int main(int argc, char** argv) {
           // to the interpreter with a note — same answer, same oracle.
           try {
             const std::shared_ptr<const JitKernel> kernel = jit_compile(plan);
-            // The kernel runs on the default pool, so --pin applies to a
-            // native run exactly as to an interpreted one.
-            par = kernel->run(r.normalized_iterations, nullptr, pin);
+            par = kernel->run(r.normalized_iterations);
             native = true;
           } catch (const JitError& e) {
             std::cerr << "mimdc: jit unavailable (" << e.what()
                       << "); running interpreted\n";
           }
         }
-        if (!native) par = plan.run(r.normalized_iterations, ropts);
+        if (!native) par = plan.run(r.normalized_iterations);
         const ExecutionResult reference =
             run_reference(r.normalized.graph, r.normalized_iterations);
         const bool ok =
