@@ -35,20 +35,12 @@ int main(int argc, char** argv) {
   const ExecutionResult par = compile(prog, g).run(n, kernel);
 
   // Bitwise validation of every computed value.
-  std::size_t checked = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (par.values[v][static_cast<std::size_t>(i)] !=
-          seq.values[v][static_cast<std::size_t>(i)]) {
-        std::printf("MISMATCH at %s@%lld\n", g.node(v).name.c_str(),
-                    static_cast<long long>(i));
-        return 1;
-      }
-      ++checked;
-    }
+  if (!values_match(par, seq, n)) {
+    std::printf("MISMATCH: threaded != sequential\n");
+    return 1;
   }
   std::printf("validated %zu values: threaded == sequential (bitwise)\n",
-              checked);
+              par.values.size());
   std::printf("sequential: %.3f s, threaded: %.3f s, speedup %.2fx\n",
               seq.wall_seconds, par.wall_seconds,
               seq.wall_seconds / par.wall_seconds);

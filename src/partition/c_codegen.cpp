@@ -426,7 +426,7 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
   }
   out << "#include <pthread.h>\n"
       << "#include <stdio.h>\n";
-  if (!opts.self_check) out << "#include <time.h>\n";
+  out << (opts.self_check ? "#include <string.h>\n" : "#include <time.h>\n");
   out << "\ntypedef struct {\n"
       << "  void* ctx;\n"
       << "  long long id;\n"
@@ -477,11 +477,13 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
   }
   out << "  mimd_kernel_ctx_destroy(ctx);\n\n";
   if (opts.self_check) {
+    // Compare bit patterns, not IEEE values: NaN == NaN, +0 != -0.
     out << "  sequential();\n"
         << "  long long bad = 0;\n"
         << "  for (int v = 0; v < NODES; ++v)\n"
         << "    for (long long i = 0; i < N; ++i)\n"
-        << "      if (R[v * N + i] != SEQ[v][i]) ++bad;\n"
+        << "      if (memcmp(&R[v * N + i], &SEQ[v][i], sizeof(double)) != 0)"
+           " ++bad;\n"
         << "  if (bad) {\n"
         << "    printf(\"MISMATCH %lld\\n\", bad);\n"
         << "    return 1;\n"

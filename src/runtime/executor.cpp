@@ -1,8 +1,10 @@
 #include "runtime/executor.hpp"
 
+#include <bit>
 #include <chrono>
 #include <memory>
 
+#include "graph/algorithms.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -44,7 +46,7 @@ void execute(const CompiledProgram& cp, const Ddg& g,
           const double v = synthetic_value(g, op.node, op.iter, operands,
                                            kernel);
           slots[op.slot] = v;
-          res.values[op.node][static_cast<std::size_t>(op.iter)] = v;
+          res.at(op.node, op.iter) = v;
           break;
         }
         case CompiledOp::Kind::Send:
@@ -74,9 +76,7 @@ ExecutorPlan compile(const PartitionedProgram& prog, const Ddg& g,
 ExecutionResult ExecutorPlan::run(std::int64_t n,
                                   const RunOptions& opts) const {
   MIMD_EXPECTS(n == compiled_.iterations);
-  ExecutionResult res;
-  res.values.resize(graph_.num_nodes());
-  for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);
+  ExecutionResult res(graph_.num_nodes(), n);
 
   // Channel construction stays outside the timed region; only the
   // threaded execution is measured.
@@ -96,9 +96,23 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
 
 ExecutionResult run_reference(const Ddg& g, std::int64_t n,
                               const KernelOptions& opts) {
-  ExecutionResult res;
+  MIMD_EXPECTS(n >= 0);
   const auto t0 = std::chrono::steady_clock::now();
-  res.values = run_sequential(g, n, opts);
+  ExecutionResult res(g.num_nodes(), n);
+  const auto order = topo_order_intra(g);
+  std::vector<double> operands;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (const NodeId v : order) {
+      operands.clear();
+      for (const EdgeId eid : g.in_edges(v)) {
+        const Edge& e = g.edge(eid);
+        const std::int64_t src_iter = i - e.distance;
+        operands.push_back(src_iter < 0 ? initial_value(e.src)
+                                        : res.at(e.src, src_iter));
+      }
+      res.at(v, i) = synthetic_value(g, v, i, operands, opts);
+    }
+  }
   const auto t1 = std::chrono::steady_clock::now();
   res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
@@ -106,18 +120,17 @@ ExecutionResult run_reference(const Ddg& g, std::int64_t n,
 
 bool values_match(const ExecutionResult& a, const ExecutionResult& b,
                   std::int64_t n) {
-  if (a.values.size() != b.values.size()) return false;
-  for (std::size_t v = 0; v < a.values.size(); ++v) {
-    // A row shorter than n is a shape mismatch, not UB — results can now
-    // arrive over the wire (mimdc --connect), so the oracle must not
-    // trust the peer to have sized them correctly.
-    if (a.values[v].size() < static_cast<std::size_t>(n) ||
-        b.values[v].size() < static_cast<std::size_t>(n)) {
-      return false;
-    }
+  // Shape before values: results can arrive over the wire (mimdc
+  // --connect), so the oracle must not trust a peer to have sized them.
+  const auto holds_n = [n](const ExecutionResult& r) {
+    return r.iterations >= n &&
+           r.values.size() == r.nodes * static_cast<std::size_t>(r.iterations);
+  };
+  if (a.nodes != b.nodes || !holds_n(a) || !holds_n(b)) return false;
+  for (std::size_t v = 0; v < a.nodes; ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      if (a.values[v][static_cast<std::size_t>(i)] !=
-          b.values[v][static_cast<std::size_t>(i)]) {
+      if (std::bit_cast<std::uint64_t>(a.at(v, i)) !=
+          std::bit_cast<std::uint64_t>(b.at(v, i))) {
         return false;
       }
     }

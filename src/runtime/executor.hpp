@@ -17,14 +17,15 @@
 // run as one gang on a persistent WorkerPool (runtime/worker_pool.hpp).
 //
 // Memory discipline (race freedom by construction):
-//  * results[v][i] is written by exactly the thread that computes (v, i);
+//  * result value (v, i) is written by exactly the thread that computes it;
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
 // The channels provide the necessary happens-before edges (acquire/release
 // on the ring cursors); validation compares against
-// run_sequential bit-for-bit.
+// run_reference bit-for-bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,10 +36,32 @@
 
 namespace mimd {
 
+/// One value per (node, iteration), stored as the kernel ABI's row-major
+/// block (partition/c_codegen.hpp): node v, iteration i is
+/// values[v * iterations + i].  Every producer (interpreter, JIT kernel,
+/// wire decoder, sequential reference) fills this one layout in place.
 struct ExecutionResult {
-  /// values[v][i] — only entries computed by some processor are defined.
-  std::vector<std::vector<double>> values;
+  std::size_t nodes = 0;
+  std::int64_t iterations = 0;
+  /// nodes x iterations, zero-initialized: entries no processor computes
+  /// stay 0.0.
+  std::vector<double> values;
   double wall_seconds = 0.0;
+
+  ExecutionResult() = default;
+  ExecutionResult(std::size_t num_nodes, std::int64_t num_iterations)
+      : nodes(num_nodes),
+        iterations(num_iterations),
+        values(num_nodes * static_cast<std::size_t>(num_iterations), 0.0) {}
+
+  [[nodiscard]] double& at(std::size_t v, std::int64_t i) {
+    return values[v * static_cast<std::size_t>(iterations) +
+                  static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] double at(std::size_t v, std::int64_t i) const {
+    return values[v * static_cast<std::size_t>(iterations) +
+                  static_cast<std::size_t>(i)];
+  }
 };
 
 class WorkerPool;
@@ -93,13 +116,17 @@ class ExecutorPlan {
                                    const Ddg& g,
                                    const CompileOptions& copts = {});
 
-/// Convenience: sequential reference on the same KernelOptions, timed.
+/// The sequential reference: run `n` iterations of `g` in one thread,
+/// every node of iteration i in intra-iteration topological order before
+/// iteration i + 1, on the same KernelOptions; timed.  Operands that reach
+/// back before iteration 0 read initial_value(src).
 ExecutionResult run_reference(const Ddg& g, std::int64_t n,
                               const KernelOptions& opts = {});
 
-/// True iff `a` and `b` agree bit-for-bit on every (node, iteration < n)
-/// value — the runtime's correctness oracle, shared by mimdc --run and the
-/// benches.
+/// True iff `a` and `b` have the same node count, both hold at least `n`
+/// iterations, and they agree on the IEEE-754 bit pattern of every
+/// (node, iteration < n) value (NaN == NaN, +0 != -0) — the runtime's
+/// correctness oracle, shared by mimdc --run and the benches.
 [[nodiscard]] bool values_match(const ExecutionResult& a,
                                 const ExecutionResult& b, std::int64_t n);
 

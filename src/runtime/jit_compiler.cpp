@@ -208,30 +208,16 @@ std::vector<double> kernel_init_vector(std::int64_t nodes) {
   return init;
 }
 
-/// Unpack the kernel's row-major flat matrix into per-node rows.
-ExecutionResult unpack_flat(const std::vector<double>& flat,
-                            std::int64_t nodes, std::int64_t n) {
-  ExecutionResult res;
-  res.values.resize(static_cast<std::size_t>(nodes));
-  for (std::size_t v = 0; v < res.values.size(); ++v) {
-    const auto row =
-        flat.begin() +
-        static_cast<std::ptrdiff_t>(v * static_cast<std::size_t>(n));
-    res.values[v].assign(row, row + static_cast<std::ptrdiff_t>(n));
-  }
-  return res;
-}
-
 }  // namespace
 
 ExecutionResult JitKernel::run(std::int64_t n, WorkerPool* pool) const {
   MIMD_EXPECTS(n == iterations_);
   const std::vector<double> init = kernel_init_vector(nodes_);
-  // Zero-filled flat matrix: entries no processor computes stay 0.0,
-  // matching the interpreted executor's zero-resized rows bit for bit.
-  std::vector<double> flat(static_cast<std::size_t>(nodes_) *
-                           static_cast<std::size_t>(n));
-  void* ctx = ctx_create_(n, init.data(), flat.data());
+  // The kernel writes straight into the result's zeroed row-major block,
+  // its ABI's R: entries no processor computes stay 0.0, as in an
+  // interpreted run.
+  ExecutionResult res(static_cast<std::size_t>(nodes_), n);
+  void* ctx = ctx_create_(n, init.data(), res.values.data());
   if (ctx == nullptr) {
     throw JitError("native kernel rejected ctx_create");
   }
@@ -252,7 +238,6 @@ ExecutionResult JitKernel::run(std::int64_t n, WorkerPool* pool) const {
   if (bad.load(std::memory_order_relaxed) != 0) {
     throw JitError("native kernel rejected a run_on thread entry");
   }
-  ExecutionResult res = unpack_flat(flat, nodes_, n);
   res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
 }

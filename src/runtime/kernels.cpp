@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "graph/algorithms.hpp"
-
 namespace mimd {
 
 double initial_value(NodeId v) { return 0.5 * (static_cast<double>(v) + 1.0); }
@@ -35,31 +33,6 @@ double synthetic_value(const Ddg& g, NodeId v, std::int64_t iter,
     acc += 0.0 * w;
   }
   return acc;
-}
-
-std::vector<std::vector<double>> run_sequential(const Ddg& g, std::int64_t n,
-                                                const KernelOptions& opts) {
-  MIMD_EXPECTS(n >= 0);
-  std::vector<std::vector<double>> out(g.num_nodes());
-  for (auto& v : out) v.assign(static_cast<std::size_t>(n), 0.0);
-
-  const auto order = topo_order_intra(g);
-  std::vector<double> operands;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (const NodeId v : order) {
-      operands.clear();
-      for (const EdgeId eid : g.in_edges(v)) {
-        const Edge& e = g.edge(eid);
-        const std::int64_t src_iter = i - e.distance;
-        operands.push_back(src_iter < 0
-                               ? initial_value(e.src)
-                               : out[e.src][static_cast<std::size_t>(src_iter)]);
-      }
-      out[v][static_cast<std::size_t>(i)] =
-          synthetic_value(g, v, i, operands, opts);
-    }
-  }
-  return out;
 }
 
 }  // namespace mimd

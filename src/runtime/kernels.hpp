@@ -30,14 +30,8 @@ double synthetic_value(const Ddg& g, NodeId v, std::int64_t iter,
                        const std::vector<double>& operands,
                        const KernelOptions& opts);
 
-/// Reference executor: run `n` iterations sequentially; out[v][i] is the
-/// value of node v at iteration i.  Initial values (iteration < 0) are
-/// defined as 0.5 * (node id + 1).
-std::vector<std::vector<double>> run_sequential(const Ddg& g, std::int64_t n,
-                                                const KernelOptions& opts = {});
-
 /// Initial (pre-loop) value of a node, used for operands that reach back
-/// before iteration 0.
+/// before iteration 0: 0.5 * (node id + 1).
 double initial_value(NodeId v);
 
 }  // namespace mimd

@@ -41,12 +41,11 @@ constexpr std::size_t kWriteHighWatermark = 8u << 20;
 constexpr std::size_t kWriteLowWatermark = 1u << 20;
 constexpr std::size_t kMaxPipelineDepth = 256;
 
-/// Size a run's result on the wire: the result matrix (nodes x
-/// iterations doubles) plus per-row/message overhead.  Overflow-proof —
-/// decode_run accepts any i64 iteration count, and a wrapped estimate
-/// would wave a 2^61-iteration request straight past the guard into
-/// plan->run(): saturate instead of multiplying once a single row
-/// already exceeds any frame.
+/// The exact RunReply payload size for a run of `n` iterations
+/// (wire::encode_run_reply).  Overflow-proof — decode_run accepts any i64
+/// iteration count, and a wrapped size would wave a 2^61-iteration request
+/// straight past the guard into plan->run(): saturate instead of
+/// multiplying once a single row already exceeds any frame.
 [[nodiscard]] std::uint64_t estimated_result_bytes(const ExecutorPlan& plan,
                                                    std::int64_t n) {
   const std::uint64_t nodes = plan.graph().num_nodes();
@@ -54,7 +53,7 @@ constexpr std::size_t kMaxPipelineDepth = 256;
   if (nodes > 0 && un > wire::kMaxFramePayload / sizeof(double)) {
     return std::numeric_limits<std::uint64_t>::max();
   }
-  return nodes * (un * sizeof(double) + 4) + 64;
+  return nodes * un * sizeof(double) + wire::kRunReplyFixedBytes;
 }
 
 /// Refuse a request whose reply could not be shipped back in one frame

@@ -312,11 +312,6 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
   return results;
 }
 
-ExecutionResult ShardRouter::run_one(const ShardJob& job) {
-  std::vector<ExecutionResult> r = run_jobs({job});
-  return std::move(r.front());
-}
-
 bool ShardRouter::drop_program(const PartitionedProgram& program,
                                const Ddg& graph, const CompileOptions& copts) {
   const std::uint64_t key = route_key(program, graph, copts);

@@ -119,9 +119,6 @@ class ShardRouter {
   [[nodiscard]] std::vector<ExecutionResult> run_jobs(
       const std::vector<ShardJob>& jobs);
 
-  /// Single-job convenience over run_jobs.
-  [[nodiscard]] ExecutionResult run_one(const ShardJob& job);
-
   /// Release a program this router previously submitted: sends
   /// DropProgram to every shard whose submitted-id cache holds the
   /// program's routing key and invalidates the cache entry on ack, so

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -34,6 +35,15 @@ void Encoder::f64(double v) {
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   u64(bits);
+}
+
+void Encoder::f64s(const double* v, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(v);
+    buf_.insert(buf_.end(), bytes, bytes + n * sizeof(double));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) f64(v[i]);
+  }
 }
 
 void Encoder::str(const std::string& s) {
@@ -68,6 +78,18 @@ double Decoder::f64() {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+void Decoder::f64s(double* out, std::size_t n) {
+  if (n > remaining() / sizeof(double)) {
+    throw WireError("truncated payload (f64 block)");
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, data_ + pos_, n * sizeof(double));
+    pos_ += n * sizeof(double);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = f64();
+  }
 }
 
 std::string Decoder::str() {
@@ -184,28 +206,6 @@ PartitionedProgram decode_program(Decoder& d) {
   return p;
 }
 
-void encode_result(Encoder& e, const ExecutionResult& r) {
-  e.u32(static_cast<std::uint32_t>(r.values.size()));
-  for (const std::vector<double>& vs : r.values) {
-    e.u32(static_cast<std::uint32_t>(vs.size()));
-    for (const double v : vs) e.f64(v);
-  }
-  e.f64(r.wall_seconds);
-}
-
-ExecutionResult decode_result(Decoder& d) {
-  ExecutionResult r;
-  const std::uint32_t nodes = d.count(4);
-  r.values.resize(nodes);
-  for (std::uint32_t v = 0; v < nodes; ++v) {
-    const std::uint32_t n = d.count(8);
-    r.values[v].reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) r.values[v].push_back(d.f64());
-  }
-  r.wall_seconds = d.f64();
-  return r;
-}
-
 // ---------------------------------------------------------------------------
 // Messages
 
@@ -299,13 +299,28 @@ RunRequest decode_run(const std::vector<std::uint8_t>& payload) {
 
 std::vector<std::uint8_t> encode_run_reply(const ExecutionResult& m) {
   Encoder e;
-  encode_result(e, m);
+  e.reserve(kRunReplyFixedBytes + m.values.size() * sizeof(double));
+  e.u32(static_cast<std::uint32_t>(m.nodes));
+  e.i64(m.iterations);
+  e.f64s(m.values.data(), m.values.size());
+  e.f64(m.wall_seconds);
   return e.take();
 }
 
 ExecutionResult decode_run_reply(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
-  ExecutionResult r = decode_result(d);
+  const std::uint32_t nodes = d.u32();
+  const std::int64_t iterations = d.i64();
+  if (iterations < 0) throw WireError("negative iteration count in result");
+  // nodes * iterations * 8 <= remaining, checked without multiplying so a
+  // hostile shape can neither wrap nor size an allocation.
+  if (nodes != 0 && static_cast<std::uint64_t>(iterations) >
+                        d.remaining() / sizeof(double) / nodes) {
+    throw WireError("result matrix exceeds payload size");
+  }
+  ExecutionResult r(nodes, iterations);
+  d.f64s(r.values.data(), r.values.size());
+  r.wall_seconds = d.f64();
   d.expect_done();
   return r;
 }

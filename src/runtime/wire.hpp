@@ -17,10 +17,12 @@
 // ship together, so the header above is the only framing either speaks.
 // Integers are fixed-width little-endian, assembled bytewise (no
 // aliasing, no host-endianness leaks); doubles travel as their IEEE-754
-// bit pattern in a u64, so a value survives the round trip
+// bit pattern in a little-endian u64, so a value survives the round trip
 // *bit-identically* — the differential suites compare daemon results
-// against in-process and sequential execution with ==, not with a
-// tolerance.
+// against in-process and sequential execution bit for bit, not with a
+// tolerance.  A block of doubles (a run's result matrix) is one memcpy on
+// a little-endian host and a bytewise loop elsewhere: same bytes either
+// way.
 //
 // Request ids: the client picks them (monotonic, per connection); the
 // server echoes a request's id on its reply — including Error replies —
@@ -119,7 +121,11 @@ class Encoder {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern — bit-exact, NaN payloads and -0.0 included.
   void f64(double v);
+  /// `n` doubles, each exactly as f64() would write it.
+  void f64s(const double* v, std::size_t n);
   void str(const std::string& s);
+  /// Size the buffer once when the payload's length is known up front.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -144,6 +150,9 @@ class Decoder {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
+  /// Read `n` doubles written by Encoder::f64s into `out`; throws
+  /// WireError before touching `out` when fewer than 8n bytes remain.
+  void f64s(double* out, std::size_t n);
   std::string str();
 
   /// Guard for count-prefixed arrays: a claimed element count whose
@@ -168,9 +177,6 @@ void encode_ddg(Encoder& e, const Ddg& g);
 
 void encode_program(Encoder& e, const PartitionedProgram& p);
 [[nodiscard]] PartitionedProgram decode_program(Decoder& d);
-
-void encode_result(Encoder& e, const ExecutionResult& r);
-[[nodiscard]] ExecutionResult decode_result(Decoder& d);
 
 // ---------------------------------------------------------------------------
 // Messages
@@ -253,6 +259,16 @@ struct StatsReply {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_run(const RunRequest& m);
 [[nodiscard]] RunRequest decode_run(const std::vector<std::uint8_t>& payload);
+
+/// RunReply payload: the result matrix as ExecutionResult lays it out,
+///
+///     u32 nodes | i64 iterations | nodes x iterations f64 | f64 wall_seconds
+///
+/// (row-major, node v iteration i at v * iterations + i), so its size is
+/// exactly kRunReplyFixedBytes + 8 * nodes * iterations.  Decode rejects a
+/// negative iteration count and a matrix larger than the payload before
+/// it allocates anything.
+inline constexpr std::size_t kRunReplyFixedBytes = 4 + 8 + 8;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_run_reply(
     const ExecutionResult& m);

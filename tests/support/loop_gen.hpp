@@ -45,7 +45,7 @@ struct GeneratedLoop {
   PartitionedProgram program;
   Machine machine;
   /// The compiled iteration count (1 + largest compute iteration): the
-  /// exact `n` to pass to ExecutorPlan::run and run_sequential.
+  /// exact `n` to pass to ExecutorPlan::run and run_reference.
   std::int64_t iterations = 0;
 };
 

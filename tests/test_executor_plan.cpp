@@ -28,14 +28,12 @@ PartitionedProgram fig7_program(const Ddg& g, std::int64_t n) {
   return lower(materialize(*r.pattern, m.processors, n), g);
 }
 
-void expect_equal_values(const ExecutionResult& a,
-                         const std::vector<std::vector<double>>& b,
+void expect_equal_values(const ExecutionResult& a, const ExecutionResult& b,
                          std::int64_t n) {
-  ASSERT_EQ(a.values.size(), b.size());
-  for (std::size_t v = 0; v < b.size(); ++v) {
+  ASSERT_EQ(a.nodes, b.nodes);
+  for (std::size_t v = 0; v < b.nodes; ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(a.values[v][static_cast<std::size_t>(i)],
-                b[v][static_cast<std::size_t>(i)])
+      ASSERT_EQ(a.at(v, i), b.at(v, i))
           << "node " << v << " iter " << i;
     }
   }
@@ -297,7 +295,7 @@ TEST(CompiledProgram, RejectsCrossPeDeadlock) {
   std::swap(p.programs[0].ops[1], p.programs[0].ops[3]);
   std::swap(p.programs[0].ops[2], p.programs[0].ops[3]);
   ASSERT_EQ(rejection(p, g), "");
-  expect_equal_values(compile(p, g).run(2), run_sequential(g, 2), 2);
+  expect_equal_values(compile(p, g).run(2), run_reference(g, 2), 2);
 }
 
 /// One random single-op mutation of `p`: shift an iteration, drop,
@@ -344,7 +342,7 @@ PartitionedProgram mutate(PartitionedProgram p, std::mt19937_64& rng) {
 
 TEST(CompiledProgram, MutantsAreRejectedOrRunBitExact) {
   // 200 single-op mutants of generated programs: each must be rejected
-  // with ContractViolation or run bit-identical to run_sequential —
+  // with ContractViolation or run bit-identical to run_reference —
   // never crash, never race, never leave a result entry unwritten.
   std::mt19937_64 rng(14);
   int rejected = 0;
@@ -363,7 +361,7 @@ TEST(CompiledProgram, MutantsAreRejectedOrRunBitExact) {
       ++accepted;
       const std::int64_t n = plan.program().iterations;
       SCOPED_TRACE(gl.tag + " mutant " + std::to_string(m));
-      expect_equal_values(plan.run(n), run_sequential(gl.graph, n), n);
+      expect_equal_values(plan.run(n), run_reference(gl.graph, n), n);
     }
   }
   RecordProperty("rejected", rejected);
@@ -382,13 +380,12 @@ TEST(ExecutorPlan, RepeatedRunsAreBitIdentical) {
   const ExecutorPlan plan = compile(fig7_program(g, n), g);
   const ExecutionResult first = plan.run(n);
   const ExecutionResult second = plan.run(n);
-  const auto reference = run_sequential(g, n);
+  const ExecutionResult reference = run_reference(g, n);
   expect_equal_values(first, reference, n);
   expect_equal_values(second, reference, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(first.values[v][static_cast<std::size_t>(i)],
-                second.values[v][static_cast<std::size_t>(i)]);
+      ASSERT_EQ(first.at(v, i), second.at(v, i));
     }
   }
 }
@@ -402,7 +399,7 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   const ExecutorPlan plan =
       compile(lower(materialize(*r.pattern, m.processors, n), g), g);
   // The mutex leg left with the mutex transport; the SPSC leg remains.
-  expect_equal_values(plan.run(n), run_sequential(g, n), n);
+  expect_equal_values(plan.run(n), run_reference(g, n), n);
 }
 
 TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
@@ -414,7 +411,7 @@ TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
     ASSERT_TRUE(r.pattern.has_value());
     const ExecutorPlan plan =
         compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-    expect_equal_values(plan.run(n), run_sequential(g, n), n);
+    expect_equal_values(plan.run(n), run_reference(g, n), n);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "runtime/executor.hpp"
 #include "runtime/kernels.hpp"
 #include "workloads/paper_examples.hpp"
 
@@ -41,24 +42,25 @@ TEST(Kernels, WorkKnobDoesNotChangeValues) {
   const Ddg g = workloads::fig7_loop();
   KernelOptions fast, slow;
   slow.work_per_cycle = 100;
-  const auto a = run_sequential(g, 20, fast);
-  const auto b = run_sequential(g, 20, slow);
-  EXPECT_EQ(a, b);
+  const ExecutionResult a = run_reference(g, 20, fast);
+  const ExecutionResult b = run_reference(g, 20, slow);
+  EXPECT_EQ(a.values, b.values);
 }
 
 TEST(RunSequential, ShapesMatchGraphAndIterations) {
   const Ddg g = workloads::cytron86_loop();
-  const auto out = run_sequential(g, 9);
-  ASSERT_EQ(out.size(), g.num_nodes());
-  for (const auto& row : out) EXPECT_EQ(row.size(), 9u);
+  const ExecutionResult out = run_reference(g, 9);
+  EXPECT_EQ(out.nodes, g.num_nodes());
+  EXPECT_EQ(out.iterations, 9);
+  EXPECT_EQ(out.values.size(), g.num_nodes() * 9);
 }
 
 TEST(RunSequential, RecurrenceActuallyEvolves) {
   const Ddg g = workloads::fig7_loop();
-  const auto out = run_sequential(g, 10);
+  const ExecutionResult out = run_reference(g, 10);
   const NodeId a = *g.find("A");
   // A[i] = f(A[i-1], E[i-1]) is non-constant across iterations.
-  EXPECT_NE(out[a][0], out[a][5]);
+  EXPECT_NE(out.at(a, 0), out.at(a, 5));
 }
 
 TEST(RunSequential, UsesInitialValuesBeforeIterationZero) {
@@ -66,18 +68,18 @@ TEST(RunSequential, UsesInitialValuesBeforeIterationZero) {
   Ddg g;
   const NodeId x = g.add_node("X");
   g.add_edge(x, x, 1);
-  const auto out = run_sequential(g, 2);
+  const ExecutionResult out = run_reference(g, 2);
   const KernelOptions o;
-  EXPECT_DOUBLE_EQ(out[x][0],
+  EXPECT_DOUBLE_EQ(out.at(x, 0),
                    synthetic_value(g, x, 0, {initial_value(x)}, o));
-  EXPECT_DOUBLE_EQ(out[x][1], synthetic_value(g, x, 1, {out[x][0]}, o));
+  EXPECT_DOUBLE_EQ(out.at(x, 1), synthetic_value(g, x, 1, {out.at(x, 0)}, o));
 }
 
 TEST(RunSequential, ZeroIterations) {
   const Ddg g = workloads::fig7_loop();
-  const auto out = run_sequential(g, 0);
-  EXPECT_EQ(out.size(), g.num_nodes());
-  EXPECT_TRUE(out[0].empty());
+  const ExecutionResult out = run_reference(g, 0);
+  EXPECT_EQ(out.nodes, g.num_nodes());
+  EXPECT_TRUE(out.values.empty());
 }
 
 }  // namespace

@@ -29,11 +29,10 @@ PartitionedProgram pattern_program(const Ddg& g, const Machine& m,
 
 void expect_matches_sequential(const ExecutionResult& res, const Ddg& g,
                                std::int64_t n) {
-  const auto reference = run_sequential(g, n);
+  const ExecutionResult reference = run_reference(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(res.values[v][static_cast<std::size_t>(i)],
-                reference[v][static_cast<std::size_t>(i)])
+      ASSERT_EQ(res.at(v, i), reference.at(v, i))
           << "node " << v << " iter " << i;
     }
   }

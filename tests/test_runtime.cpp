@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "baseline/doacross.hpp"
@@ -27,11 +28,10 @@ void expect_threaded_matches_sequential(const Ddg& g, const Machine& m,
   ASSERT_NO_THROW((void)compile_program(prog, g));
 
   const ExecutionResult threaded = compile(prog, g).run(n);
-  const auto reference = run_sequential(g, n);
+  const ExecutionResult reference = run_reference(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(threaded.values[v][static_cast<std::size_t>(i)],
-                reference[v][static_cast<std::size_t>(i)])
+      ASSERT_EQ(threaded.at(v, i), reference.at(v, i))
           << g.node(v).name << "@" << i;
     }
   }
@@ -58,11 +58,10 @@ TEST(Runtime, FullScheduleWithFlowPoolsExecutesCorrectly) {
   const FullSchedResult r = full_sched(g, m, n);
   const PartitionedProgram prog = lower(r.schedule, g);
   const ExecutionResult threaded = compile(prog, g).run(n);
-  const auto reference = run_sequential(g, n);
+  const ExecutionResult reference = run_reference(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(threaded.values[v][static_cast<std::size_t>(i)],
-                reference[v][static_cast<std::size_t>(i)]);
+      ASSERT_EQ(threaded.at(v, i), reference.at(v, i));
     }
   }
 }
@@ -73,11 +72,10 @@ TEST(Runtime, DoacrossProgramExecutesCorrectly) {
   const DoacrossResult doa = doacross(g, m, 16);
   const ExecutionResult threaded =
       compile(lower(doa.schedule, g), g).run(16);
-  const auto reference = run_sequential(g, 16);
+  const ExecutionResult reference = run_reference(g, 16);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (std::int64_t i = 0; i < 16; ++i) {
-      ASSERT_EQ(threaded.values[v][static_cast<std::size_t>(i)],
-                reference[v][static_cast<std::size_t>(i)]);
+      ASSERT_EQ(threaded.at(v, i), reference.at(v, i));
     }
   }
 }
@@ -96,7 +94,43 @@ TEST(Runtime, ReportsWallTime) {
   const Ddg g = workloads::fig7_loop();
   const ExecutionResult r = run_reference(g, 100);
   EXPECT_GE(r.wall_seconds, 0.0);
-  EXPECT_EQ(r.values.size(), g.num_nodes());
+  EXPECT_EQ(r.nodes, g.num_nodes());
+  EXPECT_EQ(r.iterations, 100);
+  EXPECT_EQ(r.values.size(), g.num_nodes() * 100);
+}
+
+/// A two-node, two-iteration result whose (1, 1) value is `last`.
+ExecutionResult two_by_two(double last) {
+  ExecutionResult r(2, 2);
+  r.values = {0.25, 0.5, 0.75, last};
+  return r;
+}
+
+TEST(Runtime, ValuesMatchComparesBitPatterns) {
+  // The oracle is bit-exact: a NaN equals the same NaN payload, and a
+  // signed-zero divergence is a mismatch even though +0.0 == -0.0.
+  const double nan = std::bit_cast<double>(0x7FF8DEADBEEF0001ull);
+  EXPECT_TRUE(values_match(two_by_two(nan), two_by_two(nan), 2));
+  EXPECT_FALSE(values_match(two_by_two(0.0), two_by_two(-0.0), 2));
+  EXPECT_FALSE(values_match(
+      two_by_two(nan), two_by_two(std::bit_cast<double>(0x7FF8000000000002ull)),
+      2));
+}
+
+TEST(Runtime, ValuesMatchChecksShapeBeforeValues) {
+  const ExecutionResult a = two_by_two(1.0);
+  // Only iterations < n are compared; a wider result may match a
+  // narrower one, but neither may hold fewer than n.
+  EXPECT_TRUE(values_match(a, two_by_two(1.0), 1));
+  EXPECT_TRUE(values_match(a, two_by_two(2.0), 1));
+  EXPECT_FALSE(values_match(a, two_by_two(1.0), 3));
+  // Each result is indexed by its own stride.
+  ExecutionResult wide(2, 3);
+  wide.values = {0.25, 0.5, 9.0, 0.75, 1.0, 9.0};
+  EXPECT_TRUE(values_match(a, wide, 2));
+  EXPECT_FALSE(values_match(a, wide, 3));
+  // A different node count never matches, even over zero iterations.
+  EXPECT_FALSE(values_match(a, ExecutionResult(3, 2), 0));
 }
 
 TEST(Runtime, ZeroIterationsRunsCleanly) {
@@ -107,7 +141,8 @@ TEST(Runtime, ZeroIterationsRunsCleanly) {
   empty.programs[0].proc = 0;
   empty.programs[1].proc = 1;
   const ExecutionResult r = compile(empty, g).run(0);
-  EXPECT_EQ(r.values.size(), g.num_nodes());
+  EXPECT_EQ(r.nodes, g.num_nodes());
+  EXPECT_TRUE(r.values.empty());
 }
 
 }  // namespace

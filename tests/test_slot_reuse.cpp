@@ -1,7 +1,7 @@
 // The liveness-based slot-reuse pass (partition/compiled_program.cpp):
 // never worse than the SSA count it starts from (num_slots_ssa),
 // asymptotically better on long pipelined programs, and invisible in the
-// results — every execution stays bit-identical to run_sequential.  Tests
+// results — every execution stays bit-identical to run_reference.  Tests
 // named "...ReuseOnAndOff" / "...BothPolicies" predate the removal of the
 // SSA slot policy and now run the reuse plan only.
 #include <gtest/gtest.h>
@@ -30,14 +30,13 @@ PartitionedProgram pattern_program(const Ddg& g, const Machine& m,
 /// comparing against the sequential oracle.
 void expect_reuse_matches_sequential(const PartitionedProgram& p,
                                      const Ddg& g, std::int64_t n) {
-  const auto reference = run_sequential(g, n);
+  const ExecutionResult reference = run_reference(g, n);
   const ExecutorPlan plan = compile(p, g);
   EXPECT_LT(plan.program().total_slots(), plan.program().total_slots_ssa());
   const ExecutionResult res = plan.run(n);
-  for (std::size_t v = 0; v < reference.size(); ++v) {
+  for (std::size_t v = 0; v < reference.nodes; ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(res.values[v][static_cast<std::size_t>(i)],
-                reference[v][static_cast<std::size_t>(i)])
+      ASSERT_EQ(res.at(v, i), reference.at(v, i))
           << "node " << v << " iter " << i;
     }
   }

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <random>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "runtime/wire.hpp"
 #include "support/loop_gen.hpp"
@@ -141,12 +143,16 @@ TEST(Wire, RunAndBatchRoundTrip) {
 }
 
 TEST(Wire, ResultAndStatsRoundTrip) {
-  ExecutionResult r;
-  r.values = {{1.0, 2.5, -3.75}, {}, {0.0625}};
+  ExecutionResult r(3, 2);
+  r.values = {1.0, 2.5, -3.75, 0.0, 0.0625, -0.0};
   r.wall_seconds = 0.125;
-  const ExecutionResult r_back =
-      wire::decode_run_reply(wire::encode_run_reply(r));
-  EXPECT_EQ(r_back.values, r.values);
+  const auto payload = wire::encode_run_reply(r);
+  // u32 nodes | i64 iterations | 3 x 2 f64 | f64 wall_seconds.
+  EXPECT_EQ(payload.size(), wire::kRunReplyFixedBytes + 6 * sizeof(double));
+  const ExecutionResult r_back = wire::decode_run_reply(payload);
+  EXPECT_EQ(r_back.nodes, 3u);
+  EXPECT_EQ(r_back.iterations, 2);
+  EXPECT_TRUE(values_match(r_back, r, 2));  // bitwise: -0.0 stays -0.0
   EXPECT_EQ(r_back.wall_seconds, 0.125);
 
   wire::StatsReply s;
@@ -265,6 +271,33 @@ TEST(Wire, HostileCountsAndEnumsAreRejected) {
     e.u32(0);
     e.u8(0);
     EXPECT_THROW((void)wire::decode_submit_program(e.bytes()), WireError);
+  }
+  {
+    // RunReply shapes the payload cannot hold are rejected before the
+    // matrix is allocated: a nodes x iterations x 8 that overflows u64
+    // (4 x 2^61 x 8 wraps to 0, which a multiplying check would accept),
+    // one merely larger than the payload, and a negative iteration count.
+    const auto reply = [](std::uint32_t nodes, std::int64_t iterations) {
+      Encoder e;
+      e.u32(nodes);
+      e.i64(iterations);
+      e.f64(1.0);
+      e.f64(0.5);  // wall_seconds, if the shape were 1 x 1
+      return e.take();
+    };
+    EXPECT_NO_THROW((void)wire::decode_run_reply(reply(1, 1)));
+    for (const auto& [nodes, iterations] :
+         std::vector<std::pair<std::uint32_t, std::int64_t>>{
+             {4u, std::int64_t{1} << 61},
+             {0xFFFFFFFFu, std::int64_t{1} << 62},
+             {3u, 2},
+             {1u, 2},
+             {1u, -1},
+             {0u, -5}}) {
+      EXPECT_THROW((void)wire::decode_run_reply(reply(nodes, iterations)),
+                   WireError)
+          << nodes << " x " << iterations;
+    }
   }
 }
 
@@ -552,13 +585,9 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   // A frame bigger than any socket buffer exercises the send/recv loops'
   // partial-transfer handling; reader runs concurrently so the writer
   // cannot deadlock on a full buffer.
-  ExecutionResult big;
-  big.values.resize(64);
+  ExecutionResult big(64, 4096);
   std::mt19937_64 rng(7);
-  for (auto& vs : big.values) {
-    vs.resize(4096);
-    for (auto& v : vs) v = static_cast<double>(rng()) / 3.0;
-  }
+  for (auto& v : big.values) v = static_cast<double>(rng()) / 3.0;
   const auto payload = wire::encode_run_reply(big);
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -568,6 +597,8 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   writer.join();
   ASSERT_TRUE(frame.has_value());
   const ExecutionResult back = wire::decode_run_reply(frame->payload);
+  EXPECT_EQ(back.nodes, 64u);
+  EXPECT_EQ(back.iterations, 4096);
   EXPECT_EQ(back.values, big.values);
   ::close(fds[0]);
   ::close(fds[1]);

@@ -32,11 +32,10 @@ ExecutorPlan fig7_plan(std::int64_t n) {
 
 void expect_identical(const ExecutionResult& a, const ExecutionResult& b,
                       std::int64_t n) {
-  ASSERT_EQ(a.values.size(), b.values.size());
-  for (std::size_t v = 0; v < a.values.size(); ++v) {
+  ASSERT_EQ(a.nodes, b.nodes);
+  for (std::size_t v = 0; v < a.nodes; ++v) {
     for (std::int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(a.values[v][static_cast<std::size_t>(i)],
-                b.values[v][static_cast<std::size_t>(i)])
+      ASSERT_EQ(a.at(v, i), b.at(v, i))
           << "node " << v << " iter " << i;
     }
   }
@@ -188,11 +187,10 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
       RunOptions opts;
       opts.pool = d < 4 ? &pool : nullptr;
       const ExecutionResult res = plan.run(n, opts);
-      const auto reference = run_sequential(g, n);
+      const ExecutionResult reference = run_reference(g, n);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         for (std::int64_t i = 0; i < n; ++i) {
-          if (res.values[v][static_cast<std::size_t>(i)] !=
-              reference[v][static_cast<std::size_t>(i)]) {
+          if (res.at(v, i) != reference.at(v, i)) {
             ok.store(false);
           }
         }

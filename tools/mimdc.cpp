@@ -57,8 +57,8 @@
 //                 separately scheduled loops; off hands the parsed
 //                 program straight to the partitioner.  The level is
 //                 part of the plan-cache key, locally and daemon-side.
-//                 Fission is disabled under --c (one compilable artifact
-//                 per source file).
+//                 --c refuses a loop that fission splits (one compilable
+//                 artifact per source file; rerun with --opt=off).
 //     --dump-passes
 //                 print per-pass rewrite stats (rounds to fixed point,
 //                 rewrites per pass, strands) to stderr
@@ -136,14 +136,12 @@ struct FrontEndResult {
   mimd::opt::PipelineResult pipe;  ///< per-pass stats for --dump-passes
 };
 
-FrontEndResult front_end(const std::string& source, mimd::OptLevel level,
-                         bool enable_fission) {
+FrontEndResult front_end(const std::string& source, mimd::OptLevel level) {
   using namespace mimd;
   const ir::Loop raw = ir::parse_loop(source);
   const ir::Loop loop = raw.has_control_flow() ? ir::if_convert(raw) : raw;
   opt::OptOptions oopts;
   oopts.level = level;
-  oopts.enable_fission = enable_fission;
   FrontEndResult fe;
   fe.pipe = opt::optimize(loop, oopts);
   fe.strands = fe.pipe.loops;
@@ -224,7 +222,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
   std::vector<std::string> labels;
   jobs.reserve(files.size());
   for (const std::string& f : files) {
-    const FrontEndResult fe = front_end(read_all(f), copts.opt, true);
+    const FrontEndResult fe = front_end(read_all(f), copts.opt);
     if (dump_passes) {
       std::cerr << fs::path(f).filename().string() << ":\n"
                 << mimd::opt::format_stats(fe.pipe);
@@ -517,12 +515,11 @@ int main(int argc, char** argv) {
   try {
     // --c emits exactly one compilable artifact, so a loop that fission
     // (or DCE cutting a bridge) splits into independent strands cannot
-    // be emitted as C.  Run fission anyway to detect the split and fail
-    // with a diagnostic rather than tripping the scheduler's
-    // connected-graph precondition.  Every other mode handles strands
-    // (each is scheduled, run and validated separately).
-    const FrontEndResult fe =
-        front_end(read_all(path), copts.opt, /*enable_fission=*/true);
+    // be emitted as C.  The mid-end always runs fission, so the split is
+    // detected here and fails with a diagnostic rather than tripping the
+    // scheduler's connected-graph precondition.  Every other mode handles
+    // strands (each is scheduled, run and validated separately).
+    const FrontEndResult fe = front_end(read_all(path), copts.opt);
     if (dump_passes) std::cerr << opt::format_stats(fe.pipe);
     if (want_c && fe.strands.size() > 1) {
       std::cerr << "mimdc: --c emits one program, but optimization split "
